@@ -286,23 +286,21 @@ func BenchmarkHeadlineSingleNode(b *testing.B) {
 	})
 }
 
-// BenchmarkHeadlineMulticore sweeps the lane-sharded engine (DESIGN.md
-// §13): the headline relay with the engine split into per-core lanes and
-// a matching relay/receiver parallelism, so each lane runs an independent
-// pipeline slice. On a multi-core host throughput should scale near
-// linearly with lanes until cores run out; on fewer cores the sweep
-// degenerates gracefully (same work, time-sliced).
-func BenchmarkHeadlineMulticore(b *testing.B) {
-	for _, lanes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+// BenchmarkHeadlineParallelism sweeps the relay/receiver parallelism of
+// the headline relay on the unsharded engine (DESIGN.md §13): every
+// instance shares its engine's one Granules resource, whose work-stealing
+// workers spread the instances over the available cores (run with -cpu
+// to vary the core budget).
+func BenchmarkHeadlineParallelism(b *testing.B) {
+	for _, par := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			runRelayBench(b, experiments.RelayConfig{
 				MsgBytes:    50,
 				BufferBytes: 1 << 20,
 				Batching:    true,
 				Pooling:     true,
-				Lanes:       lanes,
-				Parallelism: lanes,
+				Parallelism: par,
 			})
 		})
 	}

@@ -108,15 +108,15 @@ type OpContext struct {
 	current *packet.Packet
 }
 
-// NewPacket returns a clean packet from the instance's lane-local pool.
+// NewPacket returns a clean packet from the engine's pool.
 // Packets obtained here and not emitted should be returned with Recycle.
 func (c *OpContext) NewPacket() *packet.Packet {
-	return c.inst.ln.pktPool.Get()
+	return c.inst.engine.pktPool.Get()
 }
 
-// Recycle returns an unemitted packet to the lane's pool.
+// Recycle returns an unemitted packet to the engine's pool.
 func (c *OpContext) Recycle(p *packet.Packet) {
-	c.inst.ln.pktPool.Put(p)
+	c.inst.engine.pktPool.Put(p)
 }
 
 // Emit routes p onto the named outgoing link. Ownership of p transfers to

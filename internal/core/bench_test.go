@@ -4,9 +4,10 @@ package core
 // transport IO goroutines; its fixed cost (routing lookup, counters,
 // decode, dataset put, schedule) multiplies with every inbound frame, so
 // the small-packet IoT regime the paper targets lives or dies on it. The
-// lane sweep pins each concurrent sender to one inbound channel — and so
-// to one engine lane — measuring how dispatch scales when the hot path is
-// sharded across per-core lanes (run with -cpu to vary the core budget).
+// instance sweep pins each concurrent sender to one inbound channel — and
+// so to one destination instance — measuring how dispatch scales when the
+// fan-in spreads over several instances sharing the engine's one resource
+// and pool pair (run with -cpu to vary the core budget).
 
 import (
 	"fmt"
@@ -20,11 +21,10 @@ import (
 	"repro/internal/transport"
 )
 
-// benchDispatchEngine builds a deployed engine with the given lane count,
-// hosting one trivial sink processor per inbound channel (instances
-// round-robin across lanes), mirroring the launcher's wiring for remote
-// link receivers.
-func benchDispatchEngine(b *testing.B, lanes int, chans []uint32) *Engine {
+// benchDispatchEngine builds a deployed engine hosting one trivial sink
+// processor per inbound channel, mirroring the launcher's wiring for
+// remote link receivers.
+func benchDispatchEngine(b *testing.B, chans []uint32) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.DedupRemote = false // dedup would drop the repeated bench frames
@@ -32,7 +32,6 @@ func benchDispatchEngine(b *testing.B, lanes int, chans []uint32) *Engine {
 	// state: senders stall on the high watermark); size the pool to cover
 	// the whole watermark-bounded in-flight set so packet reuse works.
 	cfg.PoolCapacity = 1 << 20
-	cfg.Lanes = lanes
 	e, err := NewEngine("bench", cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -48,7 +47,7 @@ func benchDispatchEngine(b *testing.B, lanes int, chans []uint32) *Engine {
 		if err := e.registerChannel(ch, inst); err != nil {
 			b.Fatal(err)
 		}
-		if err := inst.ln.resource().Register(inst, granules.DataDriven{}); err != nil {
+		if err := e.Resource().Register(inst, granules.DataDriven{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,18 +76,18 @@ func benchFrame(pkts int) []byte {
 // several concurrent senders, the transport-IO fan-in the two-tier thread
 // model must absorb without serializing. Each op is one inbound frame
 // (decode + route + enqueue + schedule); pkts/s counts the packets inside.
-// The lanes sub-sweep shards the engine: each sender goroutine targets one
-// channel, the channel's instance is pinned to one lane, and lanes share
-// no pool or scheduler locks.
+// The insts sub-sweep spreads the senders over that many destination
+// instances: each sender goroutine targets one channel, and every
+// channel's instance shares the engine's resource and pools.
 func BenchmarkDispatchConcurrent(b *testing.B) {
-	for _, lanes := range []int{1, 2, 4} {
+	for _, insts := range []int{1, 2, 4} {
 		for _, pkts := range []int{1, 16} {
-			b.Run(fmt.Sprintf("lanes=%d/pkts=%d", lanes, pkts), func(b *testing.B) {
-				chans := make([]uint32, lanes)
+			b.Run(fmt.Sprintf("insts=%d/pkts=%d", insts, pkts), func(b *testing.B) {
+				chans := make([]uint32, insts)
 				for i := range chans {
 					chans[i] = uint32(7 + i)
 				}
-				e := benchDispatchEngine(b, lanes, chans)
+				e := benchDispatchEngine(b, chans)
 				payload := benchFrame(pkts)
 				var next atomic.Uint32
 				b.ReportAllocs()
@@ -117,7 +116,7 @@ func BenchmarkDispatchConcurrent(b *testing.B) {
 // decode, no dataset — just the table lookup and the error counters. This
 // is the purest view of the per-frame routing overhead.
 func BenchmarkDispatchUnknownChannel(b *testing.B) {
-	e := benchDispatchEngine(b, 1, []uint32{7})
+	e := benchDispatchEngine(b, []uint32{7})
 	f := transport.Frame{Channel: 9999, Payload: nil}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -44,21 +44,6 @@ type Config struct {
 	// framing entirely; 8 compresses everything compressible.
 	CompressionThreshold float64
 
-	// Workers sizes the worker thread pool (0 = NumCPU, the paper's
-	// automatic sizing). With Lanes > 1 the workers are split evenly
-	// across the lanes (at least one per lane).
-	Workers int
-
-	// Lanes shards the engine into per-core execution lanes: each lane
-	// owns its own Granules worker pool, packet pool, and buffer pool, so
-	// instances pinned to different lanes never contend on a pool lock or
-	// a scheduler queue. Keyed partitioning routes packets to a lane via
-	// the existing per-instance channel table — the hot path stays
-	// lock-free across lanes, while checkpoint barriers and membership
-	// beats still span all lanes. <= 0 defaults to 1 (the unsharded
-	// engine, byte-for-byte the pre-lane behavior).
-	Lanes int
-
 	// VerifyOrdering enables per-stream sequence verification at
 	// receivers, enforcing the paper's in-order, exactly-once
 	// correctness requirement at runtime (used by tests; small cost).
@@ -279,9 +264,6 @@ func (c *Config) normalize() error {
 	}
 	if c.PoolCapacity <= 0 {
 		c.PoolCapacity = 65536
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = 1
 	}
 	if c.FlowLease <= 0 {
 		c.FlowLease = 100 * time.Millisecond

@@ -832,3 +832,109 @@ func TestRecycleUnemittedPacket(t *testing.T) {
 		t.Fatalf("count = %d", sink.count.Load())
 	}
 }
+
+// keyedRelaySpec is the Fig. 1 relay with par parallel relay/receiver
+// instances, keyed so every packet of a key stays on one instance.
+func keyedRelaySpec(par int) *graph.Spec {
+	s := &graph.Spec{
+		Name: "keyed-relay",
+		Operators: []graph.OperatorSpec{
+			{Name: "sender", Kind: graph.KindSource},
+			{Name: "relay", Kind: graph.KindProcessor, Parallelism: par},
+			{Name: "receiver", Kind: graph.KindProcessor, Parallelism: par},
+		},
+		Links: []graph.LinkSpec{
+			{From: "sender", To: "relay", Partitioner: "fields:i"},
+			{From: "relay", To: "receiver", Partitioner: "fields:i"},
+		},
+	}
+	s.Normalize()
+	return s
+}
+
+// TestKeyedParallelRelayExactlyOnce runs the keyed parallel relay: four
+// relay/receiver instances share the engine's resource and pools, and
+// delivery must still be exactly-once across the whole job.
+func TestKeyedParallelRelayExactlyOnce(t *testing.T) {
+	const n, par = 12_000, 4
+	cfg := testConfig()
+	src := &countingSource{n: n}
+	sinks := make([]*collectSink, par)
+	j, err := NewJob(keyedRelaySpec(par), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SetSource("sender", func(int) Source { return src })
+	j.SetProcessor("relay", func(int) Processor { return relayProc{} })
+	j.SetProcessor("receiver", func(i int) Processor {
+		sinks[i] = newCollectSink()
+		return sinks[i]
+	})
+	runToCompletion(t, j)
+	all := newCollectSink()
+	var total int64
+	for i, s := range sinks {
+		c := s.count.Load()
+		if c == 0 {
+			t.Fatalf("receiver instance %d processed nothing", i)
+		}
+		total += c
+		s.mu.Lock()
+		for v, cnt := range s.seen {
+			all.seen[v] += cnt
+		}
+		s.mu.Unlock()
+	}
+	if total != n {
+		t.Fatalf("total processed %d, want %d", total, n)
+	}
+	all.exactlyOnce(t, n)
+}
+
+// TestKeyedParallelMultiEngineRemote drives the keyed parallel relay over
+// the remote (in-process transport) path, exercising the owned zero-copy
+// flush from the engines' buffer pools end to end.
+func TestKeyedParallelMultiEngineRemote(t *testing.T) {
+	const n, par = 6_000, 2
+	cfg := testConfig()
+	e1, err := NewEngine("keyed-1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := NewEngine("keyed-2", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{n: n, payload: 64}
+	sinks := make([]*collectSink, par)
+	j, err := NewJob(keyedRelaySpec(par), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SetSource("sender", func(int) Source { return src })
+	j.SetProcessor("relay", func(int) Processor { return relayProc{} })
+	j.SetProcessor("receiver", func(i int) Processor {
+		sinks[i] = newCollectSink()
+		return sinks[i]
+	})
+	place := func(op string, _ int) int {
+		if op == "relay" {
+			return 1
+		}
+		return 0
+	}
+	if err := j.LaunchOn([]*Engine{e1, e2}, place, nil); err != nil {
+		t.Fatal(err)
+	}
+	finishJob(t, j)
+	var total int64
+	for _, s := range sinks {
+		total += s.count.Load()
+	}
+	if total != n {
+		t.Fatalf("total processed %d, want %d", total, n)
+	}
+	if e1.Metrics().Counter("bytes_out").Value() == 0 || e2.Metrics().Counter("bytes_out").Value() == 0 {
+		t.Fatal("remote path not exercised")
+	}
+}

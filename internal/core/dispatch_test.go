@@ -38,7 +38,7 @@ func TestDispatchDuringChannelRegistration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inst.ln.resource().Register(inst, granules.DataDriven{}); err != nil {
+		if err := e.Resource().Register(inst, granules.DataDriven{}); err != nil {
 			t.Fatal(err)
 		}
 		insts[i] = inst
@@ -116,7 +116,7 @@ func TestSetClockConcurrentWithDispatch(t *testing.T) {
 	if err := e.registerChannel(ch, inst); err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.ln.resource().Register(inst, granules.DataDriven{}); err != nil {
+	if err := e.Resource().Register(inst, granules.DataDriven{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.deploy(); err != nil {

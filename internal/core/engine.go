@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,9 +16,10 @@ import (
 )
 
 // Engine is one NEPTUNE resource: a container hosting operator instances
-// on per-core execution lanes (each lane a Granules worker pool with its
-// own pooled packet/buffer storage) and a frame dispatcher for traffic
-// arriving from remote engines. One OS process typically runs one engine;
+// on one Granules resource (the worker pool of the paper's two-tier
+// thread model, sized to the machine's cores) with its own pooled
+// packet/buffer storage, and a frame dispatcher for traffic arriving
+// from remote engines. One OS process typically runs one engine;
 // multi-node deployments connect engines with the transport package (or
 // the cluster simulator models them).
 //
@@ -31,13 +31,21 @@ import (
 type Engine struct {
 	name    string
 	cfg     Config
-	lanes   []*lane
 	metrics *metrics.Registry
 	nowFn   atomic.Pointer[func() int64]
 
+	// res is swapped by a supervised revive while flush timers and late
+	// dispatches may still be reading it, hence the atomic pointer.
+	res     atomic.Pointer[granules.Resource]
+	pktPool *pool.PacketPool
+	bufPool *pool.BufferPool
+	// pktPool.GetBatch bound once, not per frame: the decode path takes
+	// a whole frame's packets under one pool lock instead of one lock op
+	// per packet.
+	allocBatch func(dst []*packet.Packet, n int) []*packet.Packet
+
 	//neptune:lock engine
 	mu        sync.Mutex
-	nextLane  int // round-robin lane assignment cursor (under mu)
 	instances map[instKey]*instance
 	channels  atomic.Pointer[map[uint32]*instance] //neptune:cow inbound channel -> instance
 	closed    atomic.Bool
@@ -64,38 +72,13 @@ type instKey struct {
 	idx int
 }
 
-// lane is one shard of an engine: its own Granules worker pool, packet
-// pool, buffer pool, and pre-bound allocators. Instances are pinned to a
-// lane at creation, so two instances on different lanes never contend on
-// a pool lock or a scheduler queue — the per-core sharding the
-// multi-core scaling curve measures. The engine's COW channel table
-// already routes each inbound frame to a specific instance (keyed
-// partitioning picks the instance upstream), so it doubles as the lane
-// routing table and Dispatch stays lock-free across lanes.
-type lane struct {
-	idx int
-	// res is swapped by a supervised revive while flush timers and late
-	// dispatches may still be reading it, hence the atomic pointer.
-	res     atomic.Pointer[granules.Resource]
-	pktPool *pool.PacketPool
-	bufPool *pool.BufferPool
-	// pktPool.Get / GetBatch bound once, not per frame: the decode path
-	// takes a whole frame's packets under one pool lock instead of one
-	// lock op per packet.
-	allocPkt   func() *packet.Packet
-	allocBatch func(dst []*packet.Packet, n int) []*packet.Packet
-}
-
-// resource returns the lane's current Granules resource.
-func (ln *lane) resource() *granules.Resource { return ln.res.Load() }
-
-// recycleBatch returns a batch of packets to the lane's pool under one
+// recycleBatch returns a batch of packets to the engine's pool under one
 // lock. Callers give up ownership of every packet in ps, exactly as with
 // PutBatch.
 //
 //neptune:putlike
-func (ln *lane) recycleBatch(ps []*packet.Packet) {
-	ln.pktPool.PutBatch(ps)
+func (e *Engine) recycleBatch(ps []*packet.Packet) {
+	e.pktPool.PutBatch(ps)
 }
 
 // Engine errors.
@@ -117,10 +100,10 @@ func NewEngine(name string, cfg Config) (*Engine, error) {
 		metrics:   metrics.NewRegistry(nil),
 		instances: make(map[instKey]*instance),
 	}
-	e.lanes = make([]*lane, cfg.Lanes)
-	for i := range e.lanes {
-		e.lanes[i] = e.newLane(i)
-	}
+	e.pktPool = pool.NewPacketPool(cfg.PoolCapacity, cfg.Pooling)
+	e.bufPool = pool.NewBufferPool(256, 4<<20, cfg.Pooling)
+	e.allocBatch = e.pktPool.GetBatch
+	e.res.Store(granules.NewResource(name, 0))
 	wallClock := func() int64 { return time.Now().UnixNano() }
 	e.nowFn.Store(&wallClock)
 	empty := make(map[uint32]*instance)
@@ -137,72 +120,8 @@ func NewEngine(name string, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// newLane builds lane i: a Granules resource carrying this lane's share
-// of the worker budget plus lane-private packet and buffer pools. The
-// unsharded engine (Lanes == 1) keeps the legacy resource name and the
-// full worker/pool budget, so its behavior is unchanged.
-func (e *Engine) newLane(i int) *lane {
-	ln := &lane{
-		idx:     i,
-		pktPool: pool.NewPacketPool(lanePoolCapacity(e.cfg.PoolCapacity, e.cfg.Lanes), e.cfg.Pooling),
-		bufPool: pool.NewBufferPool(256, 4<<20, e.cfg.Pooling),
-	}
-	ln.res.Store(granules.NewResource(e.laneName(i), e.laneWorkers()))
-	ln.allocPkt = ln.pktPool.Get
-	ln.allocBatch = ln.pktPool.GetBatch
-	return ln
-}
-
-// laneName names lane i's Granules resource.
-func (e *Engine) laneName(i int) string {
-	if e.cfg.Lanes == 1 {
-		return e.name
-	}
-	return fmt.Sprintf("%s#%d", e.name, i)
-}
-
-// laneWorkers is each lane's worker budget: the configured total split
-// evenly, at least one per lane. Workers == 0 resolves to NumCPU first so
-// the automatic sizing divides the machine rather than multiplying it.
-func (e *Engine) laneWorkers() int {
-	total := e.cfg.Workers
-	if total <= 0 {
-		total = runtime.NumCPU()
-	}
-	w := total / e.cfg.Lanes
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// lanePoolCapacity splits the idle-packet budget across lanes so total
-// pooled memory stays bounded by the configured capacity.
-func lanePoolCapacity(capacity, lanes int) int {
-	c := capacity / lanes
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// assignLane pins the next instance to a lane round-robin. The launcher
-// creates instances in deterministic (spec) order, so the assignment is
-// stable across runs and across a supervised revive — instances keep
-// their lane; only the lane's resource is replaced.
-func (e *Engine) assignLane() *lane {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ln := e.lanes[e.nextLane%len(e.lanes)]
-	e.nextLane++
-	return ln
-}
-
 // Name returns the engine's name.
 func (e *Engine) Name() string { return e.name }
-
-// Lanes returns the engine's execution lane count.
-func (e *Engine) Lanes() int { return len(e.lanes) }
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -210,37 +129,18 @@ func (e *Engine) Config() Config { return e.cfg }
 // Metrics returns the engine's metric registry.
 func (e *Engine) Metrics() *metrics.Registry { return e.metrics }
 
-// Resource exposes lane 0's Granules resource (scheduling metrics for the
-// unsharded case; a sharded engine has one resource per lane — use
-// ContextSwitches for an all-lane aggregate). The atomic load makes the
-// read safe against a supervised revive swapping the resource.
-func (e *Engine) Resource() *granules.Resource {
-	return e.lanes[0].resource()
-}
+// Resource exposes the engine's Granules resource (scheduling metrics).
+// The atomic load makes the read safe against a supervised revive
+// swapping the resource.
+func (e *Engine) Resource() *granules.Resource { return e.res.Load() }
 
-// ContextSwitches sums scheduler context-switch equivalents across all
-// lanes (one resource per lane).
+// ContextSwitches reports the scheduler's context-switch equivalents.
 func (e *Engine) ContextSwitches() uint64 {
-	var n uint64
-	for _, ln := range e.lanes {
-		n += ln.resource().Switches().Switches()
-	}
-	return n
+	return e.Resource().Switches().Switches()
 }
 
-// PacketPoolStats reports the engine's packet pool counters, summed
-// across lanes.
-func (e *Engine) PacketPoolStats() pool.Stats {
-	var out pool.Stats
-	for _, ln := range e.lanes {
-		s := ln.pktPool.Stats()
-		out.Gets += s.Gets
-		out.Hits += s.Hits
-		out.Puts += s.Puts
-		out.Discards += s.Discards
-	}
-	return out
-}
+// PacketPoolStats reports the engine's packet pool counters.
+func (e *Engine) PacketPoolStats() pool.Stats { return e.pktPool.Stats() }
 
 // now returns the engine clock in nanoseconds.
 func (e *Engine) now() int64 { return (*e.nowFn.Load())() }
@@ -318,27 +218,14 @@ func (e *Engine) instance(op string, idx int) *instance {
 	return e.instances[instKey{op: op, idx: idx}]
 }
 
-// deploy starts every lane's Granules resource (idempotent across jobs
+// deploy starts the engine's Granules resource (idempotent across jobs
 // sharing the engine is not supported: one engine runs one job in this
 // reproduction).
-func (e *Engine) deploy() error {
-	for _, ln := range e.lanes {
-		if err := ln.resource().Deploy(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (e *Engine) deploy() error { return e.Resource().Deploy() }
 
-// quiesce waits until all hosted tasks on every lane are idle.
+// quiesce waits until all hosted tasks are idle.
 func (e *Engine) quiesce(timeout time.Duration) bool {
-	ok := true
-	for _, ln := range e.lanes {
-		if !ln.resource().Quiesce(timeout) {
-			ok = false
-		}
-	}
-	return ok
+	return e.Resource().Quiesce(timeout)
 }
 
 // hostedInstances snapshots the engine's instances under the setup lock.
@@ -366,20 +253,15 @@ func (e *Engine) crash() {
 			inst.stopping.Store(true)
 		}
 	}
-	for _, ln := range e.lanes {
-		ln.resource().Kill()
-	}
+	e.Resource().Kill()
 }
 
-// revive replaces every lane's killed resource with a fresh one and
-// reopens the dispatch gate. Only the supervisor calls this, after
-// crash() has finished and with no executions in flight. Instances keep
-// their lane pinning; rebuildInstances re-registers them on the fresh
-// resources.
+// revive replaces the killed resource with a fresh one and reopens the
+// dispatch gate. Only the supervisor calls this, after crash() has
+// finished and with no executions in flight; rebuildInstances
+// re-registers the instances on the fresh resource.
 func (e *Engine) revive() {
-	for i, ln := range e.lanes {
-		ln.res.Store(granules.NewResource(e.laneName(i), e.laneWorkers()))
-	}
+	e.res.Store(granules.NewResource(e.name, 0))
 	e.closed.Store(false)
 }
 
@@ -398,12 +280,7 @@ func (e *Engine) close() error {
 	for _, inst := range insts {
 		inst.shutdownInputs()
 	}
-	var err error
-	for _, ln := range e.lanes {
-		if terr := ln.resource().Terminate(); terr != nil && err == nil {
-			err = terr
-		}
-	}
+	err := e.Resource().Terminate()
 	for _, inst := range insts {
 		inst.closeOperator()
 	}

@@ -141,13 +141,9 @@ type outLink struct {
 // instance is one parallel instance of a stream operator.
 type instance struct {
 	engine *Engine
-	// ln is the engine lane the instance is pinned to: its dataset lives
-	// on the lane's resource and every pool operation goes to the lane's
-	// pools, so instances on different lanes share no hot-path locks.
-	ln  *lane
-	op  graph.OperatorSpec
-	idx int
-	id  string // cached "op[idx]" — formatted once, read on every execution
+	op     graph.OperatorSpec
+	idx    int
+	id     string // cached "op[idx]" — formatted once, read on every execution
 
 	source Source
 	proc   Processor
@@ -265,7 +261,6 @@ func (inst *instance) taskID() string { return inst.id }
 func newInstance(e *Engine, op graph.OperatorSpec, idx int, src Source, proc Processor) (*instance, error) {
 	inst := &instance{
 		engine:    e,
-		ln:        e.assignLane(),
 		op:        op,
 		idx:       idx,
 		id:        fmt.Sprintf("%s[%d]", op.Name, idx),
@@ -287,7 +282,7 @@ func newInstance(e *Engine, op graph.OperatorSpec, idx int, src Source, proc Pro
 	}
 	if proc != nil {
 		ds, err := granules.NewStreamDataset[*inBatch](
-			"in", inst.ln.resource(), inst.taskID(), e.cfg.InLowWatermark, e.cfg.InHighWatermark)
+			"in", e.Resource(), inst.taskID(), e.cfg.InLowWatermark, e.cfg.InHighWatermark)
 		if err != nil {
 			return nil, err
 		}
@@ -420,7 +415,7 @@ func (inst *instance) processOne(p *packet.Packet) {
 		if inst.staging {
 			inst.recycle = append(inst.recycle, p)
 		} else {
-			inst.ln.pktPool.Put(p)
+			inst.engine.pktPool.Put(p)
 		}
 	}
 	inst.ctx.current = nil
@@ -472,7 +467,7 @@ func (inst *instance) emitOn(c *OpContext, l *outLink, p *packet.Packet) error {
 		out := p
 		if i < len(route)-1 {
 			// All but the last destination receive a copy.
-			out = inst.ln.pktPool.Get()
+			out = inst.engine.pktPool.Get()
 			p.CopyTo(out)
 		}
 		d := l.dests[destIdx]
@@ -498,7 +493,7 @@ func (inst *instance) emitOn(c *OpContext, l *outLink, p *packet.Packet) error {
 			continue
 		}
 		if err := d.buf.Add(out); err != nil {
-			inst.ln.pktPool.Put(out)
+			inst.engine.pktPool.Put(out)
 			return fmt.Errorf("core: emit on %q: %w", l.spec.Name, err)
 		}
 		inst.emitted.Inc()
@@ -514,7 +509,7 @@ func (inst *instance) flushStage() {
 	for _, d := range inst.stagedDests {
 		n, err := d.buf.AddBatch(d.stage)
 		if err != nil {
-			inst.ln.pktPool.PutBatch(d.stage[n:])
+			inst.engine.pktPool.PutBatch(d.stage[n:])
 			inst.procErrs.Inc()
 			inst.verifyErr.set(fmt.Errorf("core: staged emit from %s: %w", inst.taskID(), err))
 		}
@@ -525,7 +520,7 @@ func (inst *instance) flushStage() {
 	}
 	inst.stagedDests = inst.stagedDests[:0]
 	if len(inst.recycle) > 0 {
-		inst.ln.pktPool.PutBatch(inst.recycle)
+		inst.engine.pktPool.PutBatch(inst.recycle)
 		for i := range inst.recycle {
 			inst.recycle[i] = nil
 		}
@@ -540,13 +535,12 @@ func (inst *instance) flushStage() {
 // gather-write path); others get the legacy copying Send.
 func (d *destination) flush(batch []*packet.Packet, bytes int, _ buffer.FlushReason) {
 	e := d.sender.engine
-	ln := d.sender.ln
 	if d.local != nil {
 		pkts := make([]*packet.Packet, len(batch))
 		copy(pkts, batch)
 		if err := d.local.dataset.Put(&inBatch{packets: pkts, bytes: bytes}, int64(bytes)); err != nil {
 			// Receiver shut down: recycle and drop (job is ending).
-			ln.recycleBatch(pkts)
+			e.recycleBatch(pkts)
 			e.dropsOnShutdown.Add(uint64(len(pkts)))
 		}
 		return
@@ -554,7 +548,7 @@ func (d *destination) flush(batch []*packet.Packet, bytes int, _ buffer.FlushRea
 	tr := d.transport()
 	if owned, ok := tr.(transport.OwnedSender); ok {
 		d.flushOwned(owned, batch, bytes)
-		ln.recycleBatch(batch)
+		e.recycleBatch(batch)
 		return
 	}
 	d.scratch = d.enc.EncodeBatch(d.scratch[:0], batch)
@@ -575,11 +569,11 @@ func (d *destination) flush(batch []*packet.Packet, bytes int, _ buffer.FlushRea
 		e.bytesOut.Add(uint64(len(frame)))
 		e.batchesOut.Inc()
 	}
-	ln.recycleBatch(batch)
+	e.recycleBatch(batch)
 }
 
 // flushOwned is the zero-copy egress path: the batch is encoded into a
-// buffer drawn from the lane's pool and that buffer itself — not a copy —
+// buffer drawn from the engine's pool and that buffer itself — not a copy —
 // is handed to the transport's gather-writer, which returns it to the
 // pool once the vectored write has reached the kernel (the release
 // closure). SendOwned assumes ownership whether or not it errors, so
@@ -587,13 +581,12 @@ func (d *destination) flush(batch []*packet.Packet, bytes int, _ buffer.FlushRea
 // retainedbuf analyzer enforces exactly that.
 func (d *destination) flushOwned(owned transport.OwnedSender, batch []*packet.Packet, bytes int) {
 	e := d.sender.engine
-	ln := d.sender.ln
 	// Headroom above the buffer's byte accounting: per-packet wire framing
 	// can exceed the accounted payload size for tiny packets.
-	frame := d.enc.EncodeBatch(ln.bufPool.Get(bytes+bytes/2+64), batch)
+	frame := d.enc.EncodeBatch(e.bufPool.Get(bytes+bytes/2+64), batch)
 	if d.sel != nil {
-		comp := d.sel.Encode(ln.bufPool.Get(len(frame)+64), frame)
-		ln.bufPool.Put(frame)
+		comp := d.sel.Encode(e.bufPool.Get(len(frame)+64), frame)
+		e.bufPool.Put(frame)
 		frame = comp
 	}
 	// Retain the frame for crash replay (append copies) before the
@@ -603,7 +596,7 @@ func (d *destination) flushOwned(owned transport.OwnedSender, batch []*packet.Pa
 		rl.append(frame, len(batch))
 	}
 	size := len(frame)
-	err := owned.SendOwned(d.channel, frame, func() { ln.bufPool.Put(frame) }) //neptune:handoff
+	err := owned.SendOwned(d.channel, frame, func() { e.bufPool.Put(frame) }) //neptune:handoff
 	if err != nil {
 		e.sendErrs.Inc()
 		return
@@ -616,25 +609,25 @@ func (d *destination) flushOwned(owned transport.OwnedSender, batch []*packet.Pa
 // on the instance's dataset. Called from transport IO goroutines; blocking
 // here propagates backpressure into the socket.
 func (inst *instance) ingestFrame(frame []byte) error {
-	ln := inst.ln
+	e := inst.engine
 	data := frame
 	var decBuf []byte
 	if inst.sel != nil {
-		decBuf = ln.bufPool.Get(len(frame) * 2)
+		decBuf = e.bufPool.Get(len(frame) * 2)
 		var err error
 		decBuf, err = inst.sel.Decode(decBuf, frame, transport.MaxFrameSize)
 		if err != nil {
-			ln.bufPool.Put(decBuf)
+			e.bufPool.Put(decBuf)
 			return err
 		}
 		data = decBuf
 	}
-	pkts, _, err := inst.dec.DecodeBatchAppend(data, ln.allocBatch, nil)
+	pkts, _, err := inst.dec.DecodeBatchAppend(data, e.allocBatch, nil)
 	if decBuf != nil {
-		ln.bufPool.Put(decBuf)
+		e.bufPool.Put(decBuf)
 	}
 	if err != nil {
-		ln.recycleBatch(pkts)
+		e.recycleBatch(pkts)
 		return err
 	}
 	if inst.dedupNext != nil {
@@ -644,7 +637,7 @@ func (inst *instance) ingestFrame(frame []byte) error {
 		}
 	}
 	if err := inst.dataset.Put(&inBatch{packets: pkts, bytes: len(data)}, int64(len(data))); err != nil {
-		ln.recycleBatch(pkts)
+		e.recycleBatch(pkts)
 		return err
 	}
 	return nil
@@ -663,7 +656,7 @@ func (inst *instance) dedupPackets(pkts []*packet.Packet) []*packet.Packet {
 	inst.dedupMu.Lock()
 	for _, p := range pkts {
 		if next, ok := inst.dedupNext[p.StreamID]; ok && p.Seq < next {
-			inst.ln.pktPool.Put(p)
+			inst.engine.pktPool.Put(p)
 			dropped++
 			continue
 		}

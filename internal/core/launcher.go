@@ -546,7 +546,7 @@ func (j *Job) LaunchOn(engines []*Engine, place Placement, bridger Bridger) erro
 			if tp, ok := inst.proc.(TickingProcessor); ok && tp.TickInterval() > 0 {
 				strategy = granules.Combined{Data: granules.DataDriven{}, Every: tp.TickInterval()}
 			}
-			if err := inst.ln.resource().Register(inst, strategy); err != nil {
+			if err := inst.engine.Resource().Register(inst, strategy); err != nil {
 				return err
 			}
 		}

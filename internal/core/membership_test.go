@@ -12,12 +12,10 @@ import (
 // membershipJob builds a two-engine relay job (sender on node-a, relay
 // and receiver on node-b) with membership enabled, launched over the
 // in-process bridger so control frames travel named direct links the
-// chaos filter can cut per direction. lanes shards each engine into that
-// many execution lanes (0 or 1: the unsharded engine).
-func membershipJob(t *testing.T, n int, rate float64, lanes int) (*Job, *collectSink) {
+// chaos filter can cut per direction.
+func membershipJob(t *testing.T, n int, rate float64) (*Job, *collectSink) {
 	t.Helper()
 	cfg := testConfig()
-	cfg.Lanes = lanes
 	cfg.Membership = MembershipConfig{
 		Enabled:    true,
 		EvictAfter: 40 * time.Millisecond,
@@ -75,20 +73,8 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 // partition lets node-b re-join under a bumped incarnation, degraded
 // mode lifts, and the stream finishes with exactly-once delivery intact.
 func TestMembershipPartitionEvictRejoinExactlyOnce(t *testing.T) {
-	testMembershipPartitionEvictRejoin(t, 1)
-}
-
-// TestMembershipPartitionEvictRejoinSharded reruns the partition /
-// evict / rejoin acceptance against engines split into two lanes
-// (ISSUE 7): membership, fencing, and degraded-mode signaling span all
-// lanes, so the fault path must behave identically on a sharded engine.
-func TestMembershipPartitionEvictRejoinSharded(t *testing.T) {
-	testMembershipPartitionEvictRejoin(t, 2)
-}
-
-func testMembershipPartitionEvictRejoin(t *testing.T, lanes int) {
 	const n = 30_000
-	j, sink := membershipJob(t, n, 20_000, lanes)
+	j, sink := membershipJob(t, n, 20_000)
 	defer j.Stop(30 * time.Second)
 
 	inj := chaos.New(11)
@@ -183,7 +169,7 @@ func TestMembershipHealthDisabled(t *testing.T) {
 // false-positive under ordinary scheduling jitter.
 func TestMembershipBootstrapAndCleanFinish(t *testing.T) {
 	const n = 5_000
-	j, sink := membershipJob(t, n, 0, 1)
+	j, sink := membershipJob(t, n, 0)
 	defer j.Stop(30 * time.Second)
 
 	waitUntil(t, 5*time.Second, "bootstrap", func() bool {

@@ -41,8 +41,8 @@ type qosLink struct {
 	d    *destination
 	hist *metrics.Histogram
 	// chainable marks the link structurally eligible for fusion: local,
-	// same lane, the receiver's sole input, receiver a non-ticking
-	// processor. Decided once at launch; the graph never changes.
+	// the receiver's sole input, receiver a non-ticking processor.
+	// Decided once at launch; the graph never changes.
 	chainable bool
 	remote    bool
 	lastPkts  uint64 // buffer+chained packet total at the last tick
@@ -169,8 +169,8 @@ func (j *Job) setupQoS() {
 
 // qosChainable decides structural fusion eligibility for one link.
 func qosChainable(d *destination, inbound map[*instance]int) bool {
-	if d.local == nil || d.sender.ln != d.recv.ln {
-		return false // remote, or would cross lane serialization domains
+	if d.local == nil {
+		return false // remote
 	}
 	if d.recv.proc == nil || inbound[d.recv] != 1 {
 		return false // not a processor, or fed by more than this link

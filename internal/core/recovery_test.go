@@ -193,21 +193,8 @@ func waitRestarts(t *testing.T, j *Job, want uint64) {
 // order (VerifyOrdering), carrying the deterministic windowed state —
 // i.e. zero lost packets, zero duplicates, zero lost state.
 func TestCrashRecoveryExactlyOnce(t *testing.T) {
-	testCrashRecovery(t, 1)
-}
-
-// TestCrashRecoveryExactlyOnceSharded reruns the crash-recovery
-// acceptance with every engine split into two execution lanes (ISSUE 7):
-// checkpoint barriers, replay, and the revived instances' lane-local
-// pools must preserve exactly-once across the kill on a sharded engine.
-func TestCrashRecoveryExactlyOnceSharded(t *testing.T) {
-	testCrashRecovery(t, 2)
-}
-
-func testCrashRecovery(t *testing.T, lanes int) {
 	const n = 6_000
 	cfg := testConfig() // VerifyOrdering + DedupRemote on
-	cfg.Lanes = lanes
 	j, sink, _, _ := recoveryJob(t, cfg, 25_000, n)
 
 	store := checkpoint.NewMemStore(0)

@@ -771,7 +771,7 @@ func (s *Supervisor) rebuildInstances(dead *Engine, deadInsts []*instance) error
 			}
 			proc := f(inst.idx)
 			ds, err := granules.NewStreamDataset[*inBatch](
-				"in", inst.ln.resource(), inst.taskID(), cfg.InLowWatermark, cfg.InHighWatermark)
+				"in", inst.engine.Resource(), inst.taskID(), cfg.InLowWatermark, cfg.InHighWatermark)
 			if err != nil {
 				return err
 			}
@@ -840,7 +840,7 @@ func (s *Supervisor) rebuildInstances(dead *Engine, deadInsts []*instance) error
 			if tp, ok := inst.proc.(TickingProcessor); ok && tp.TickInterval() > 0 {
 				strategy = granules.Combined{Data: granules.DataDriven{}, Every: tp.TickInterval()}
 			}
-			if err := inst.ln.resource().Register(inst, strategy); err != nil {
+			if err := inst.engine.Resource().Register(inst, strategy); err != nil {
 				return err
 			}
 		}

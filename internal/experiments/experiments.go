@@ -121,12 +121,8 @@ type RelayConfig struct {
 	// SinkDelayNs, when non-nil, is read per packet at the receiver and
 	// slept (the Fig. 3/4 variable-rate stage C).
 	SinkDelayNs *atomic.Int64
-	// Lanes shards each engine into per-core execution lanes
-	// (core.Config.Lanes); 0 means one lane, the unsharded engine.
-	Lanes int
 	// Parallelism sets the relay/receiver operator instance count (0 =
-	// 1). With Lanes > 1 the instances round-robin across lanes, which is
-	// what lets the lane sweep scale past one core.
+	// 1).
 	Parallelism int
 	// RateLimit, when positive, throttles the sender to that many
 	// packets/second (core.Throttle) — an offered-load source, as IoT
@@ -220,7 +216,6 @@ func RunRelay(cfg RelayConfig) (RelayResult, error) {
 		ecfg.OutHighWatermark = cfg.OutHighWatermark
 		ecfg.OutLowWatermark = cfg.OutLowWatermark
 	}
-	ecfg.Lanes = cfg.Lanes
 	ecfg.LatencyTarget = cfg.LatencyTarget
 	if cfg.QoSTick > 0 {
 		ecfg.QoSTick = cfg.QoSTick

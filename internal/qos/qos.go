@@ -108,7 +108,7 @@ type Sample struct {
 	// Packets is the count delivered since the last tick.
 	Packets uint64
 	// Chainable marks the link structurally eligible for fusion (1:1,
-	// co-located, same lane — decided by the engine, not here).
+	// co-located — decided by the engine, not here).
 	Chainable bool
 	// Chained reports whether the link is currently fused.
 	Chained bool

@@ -145,7 +145,9 @@ type ResilientOptions struct {
 	// Metrics, when non-nil, receives the resilience counters:
 	// transport.reconnects, transport.redelivered_frames,
 	// transport.frames_shed, transport.dup_frames_dropped, and the
-	// transport.replay_bytes / transport.replay_frames gauges.
+	// transport.replay_bytes / transport.replay_frames gauges. Its
+	// transport.frames_shed counter is also what Health().Shed reads, so
+	// links sharing one registry report their summed shed count.
 	Metrics *metrics.Registry
 }
 
@@ -280,10 +282,13 @@ type Resilient struct {
 
 	reconnects  atomic.Uint64
 	redelivered atomic.Uint64
-	shedCount   atomic.Uint64
-	dups        atomic.Uint64
-	ctrlIn      atomic.Uint64
-	ctrlOut     atomic.Uint64
+	// shed counts frames dropped by DegradeShedOldest: the registry's
+	// transport.frames_shed when Metrics is set, a private counter
+	// otherwise — one source of truth for Health().Shed and the metric.
+	shed    *metrics.Counter
+	dups    atomic.Uint64
+	ctrlIn  atomic.Uint64
+	ctrlOut atomic.Uint64
 
 	//neptune:lock rlink-rng
 	rngMu sync.Mutex
@@ -316,6 +321,10 @@ func DialResilient(addr string, handler Handler, opts ResilientOptions) (*Resili
 		closedCh: make(chan struct{}),
 		state:    LinkConnected,
 		rng:      newSeededRng(opts.Seed),
+		shed:     &metrics.Counter{},
+	}
+	if opts.Metrics != nil {
+		r.shed = opts.Metrics.Counter("transport.frames_shed")
 	}
 	r.jcond = sync.NewCond(&r.jmu)
 	conn, err := opts.Dialer(addr, opts.TCP.DialTimeout)
@@ -388,8 +397,7 @@ func (r *Resilient) ackWatch() {
 // writeHello sends the link-identifying first frame on the current conn
 // and flushes it. Caller owns the writer goroutine (or constructor). The
 // payload is an EpochHello control message carrying the link id and the
-// recovery epoch; the listener still accepts the raw 8-byte (link id
-// only) and 16-byte (id + epoch) hellos from pre-control-plane senders.
+// recovery epoch.
 func (r *Resilient) writeHello() error {
 	payload, err := control.Encode(control.Message{
 		Kind:   control.KindEpochHello,
@@ -806,9 +814,8 @@ func (r *Resilient) journalAppend(jf jframe) bool {
 			r.jfr[r.jhead] = jframe{}
 			r.jhead++
 			r.jbytes -= int64(len(old.payload)) + headerV2Size
-			r.shedCount.Add(1)
+			r.shed.Inc()
 			if m := r.opts.Metrics; m != nil {
-				m.Counter("transport.frames_shed").Inc()
 				m.Gauge("transport.replay_bytes").Add(-(int64(len(old.payload)) + headerV2Size))
 				m.Gauge("transport.replay_frames").Add(-1)
 			}
@@ -1030,7 +1037,7 @@ func (r *Resilient) Health() LinkHealth {
 		State:          state,
 		Reconnects:     r.reconnects.Load(),
 		Redelivered:    r.redelivered.Load(),
-		Shed:           r.shedCount.Load(),
+		Shed:           r.shed.Value(),
 		DupsDropped:    r.dups.Load(),
 		ReplayFrames:   frames,
 		ReplayBytes:    bytes,

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -15,9 +14,8 @@ import (
 // This file is the accepting, receiving half of the resilient transport
 // pair (split out of resilient.go): per-link dedup keyed by the hello's
 // link id, cumulative acks, and the listener side of the control plane.
-// Hello frames are EpochHello control messages (with a fallback for the
-// raw 8/16-byte payloads of pre-control-plane senders), inbound control
-// frames are handed to ResilientOptions.ControlHandler, and SendControl
+// Hello frames are EpochHello control messages, inbound control frames
+// are handed to ResilientOptions.ControlHandler, and SendControl
 // broadcasts a control frame to every connected sender — the upstream
 // direction watermark advertisements travel.
 
@@ -27,11 +25,18 @@ import (
 // lastSeen so a supervisor-rebuilt sender (whose frame sequence restarts
 // at 1) is not misread as a flood of stale duplicates; a hello with the
 // same epoch — every ordinary reconnect — leaves dedup state intact.
+//
+// owner is the connection whose serve goroutine delivers the link's
+// frames. A reconnect's hello takes ownership and waits for the previous
+// owner's goroutine to exit, so an old connection still delivering its
+// buffered frames can never race the new one's replay and let a later
+// frame overtake an earlier one at the handler.
 type linkRecv struct {
 	//neptune:lock rlisten-link
 	mu       sync.Mutex
 	lastSeen uint64
 	epoch    uint64
+	owner    *servedConn
 }
 
 // servedConn pairs an accepted connection with a write mutex: acks are
@@ -39,6 +44,7 @@ type linkRecv struct {
 // callers, and the two must not interleave mid-frame.
 type servedConn struct {
 	conn net.Conn
+	done chan struct{} // closed when the conn's serve goroutine exits
 	//neptune:lock rlisten-write
 	wmu sync.Mutex
 }
@@ -167,7 +173,7 @@ func (l *ResilientListener) acceptLoop() {
 			conn.Close()
 			return
 		}
-		sc := &servedConn{conn: conn}
+		sc := &servedConn{conn: conn, done: make(chan struct{})}
 		l.conns[conn] = sc
 		l.wg.Add(1)
 		l.mu.Unlock()
@@ -187,32 +193,29 @@ func (l *ResilientListener) link(id uint64) *linkRecv {
 	return lr
 }
 
-// helloLink resolves a hello frame to its link's dedup state. The
-// payload is an EpochHello control message from a current sender, or a
-// raw 8-byte (link id) / 16-byte (id + epoch) payload from an older
-// one. A higher epoch rewinds the dedup cursor (see linkRecv).
-func (l *ResilientListener) helloLink(payload []byte) *linkRecv {
-	var id, epoch uint64
-	if m, err := control.Decode(payload); err == nil && m.Kind == control.KindEpochHello {
-		id, epoch = m.LinkID, m.Epoch
-	} else {
-		switch len(payload) {
-		case 8:
-			id = binary.LittleEndian.Uint64(payload)
-		case 16:
-			id = binary.LittleEndian.Uint64(payload)
-			epoch = binary.LittleEndian.Uint64(payload[8:])
-		default:
-			return nil
-		}
+// helloLink resolves a hello frame's EpochHello control message to its
+// link's dedup state and makes sc the link's owner; any other payload
+// binds no link. A higher epoch rewinds the dedup cursor (see linkRecv).
+// A previous owner's connection is closed and its serve goroutine
+// awaited, so it delivers nothing after this returns.
+func (l *ResilientListener) helloLink(sc *servedConn, payload []byte) *linkRecv {
+	m, err := control.Decode(payload)
+	if err != nil || m.Kind != control.KindEpochHello {
+		return nil
 	}
-	link := l.link(id)
+	link := l.link(m.LinkID)
 	link.mu.Lock()
-	if epoch > link.epoch {
-		link.epoch = epoch
+	prev := link.owner
+	link.owner = sc
+	if m.Epoch > link.epoch {
+		link.epoch = m.Epoch
 		link.lastSeen = 0
 	}
 	link.mu.Unlock()
+	if prev != nil && prev != sc {
+		prev.conn.Close()
+		<-prev.done
+	}
 	return link
 }
 
@@ -223,6 +226,7 @@ func (l *ResilientListener) serve(sc *servedConn) {
 	defer l.wg.Done()
 	conn := sc.conn
 	defer func() {
+		close(sc.done)
 		conn.Close()
 		l.mu.Lock()
 		delete(l.conns, conn)
@@ -232,7 +236,7 @@ func (l *ResilientListener) serve(sc *servedConn) {
 		_ = tc.SetNoDelay(true) //neptune:discarderr best-effort socket tuning; the link works without TCP_NODELAY
 	}
 	fr := newFrameReader(bufio.NewReaderSize(conn, 256<<10))
-	local := &linkRecv{} // dedup state for v2 senders that skip hello
+	local := &linkRecv{owner: sc} // dedup state for v2 senders that skip hello
 	var link *linkRecv
 	var ackHdr [headerV2Size]byte
 	unacked := 0
@@ -255,7 +259,7 @@ func (l *ResilientListener) serve(sc *servedConn) {
 		}
 		if f.version == frameVersion2 {
 			if f.flags&flagHello != 0 {
-				if lr := l.helloLink(f.payload); lr != nil {
+				if lr := l.helloLink(sc, f.payload); lr != nil {
 					link = lr
 				}
 				l.noteControlIn(f.payload)
@@ -274,6 +278,12 @@ func (l *ResilientListener) serve(sc *servedConn) {
 					ls = local
 				}
 				ls.mu.Lock()
+				if ls.owner != sc {
+					// A newer connection took the link over; its
+					// replay re-sends everything still unacked here.
+					ls.mu.Unlock()
+					return
+				}
 				dup := f.seq <= ls.lastSeen
 				if !dup {
 					ls.lastSeen = f.seq

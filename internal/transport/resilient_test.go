@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/control"
 	"repro/internal/metrics"
 )
 
@@ -255,6 +257,17 @@ func TestResilientShedOldestBoundsJournal(t *testing.T) {
 			t.Fatalf("shed policy must not fail Send: %v", err)
 		}
 	}
+	// Stop sending and let the writer drain the outbound queue: each
+	// frame it journals past the limit sheds one more, so comparing
+	// mid-drain would race the writer, not test the counters.
+	deadline = time.Now().Add(5 * time.Second)
+	for last := uint64(0); cl.queue.Len() > 0 || cl.Health().Shed != last; {
+		if time.Now().After(deadline) {
+			t.Fatal("outbound queue never drained")
+		}
+		last = cl.Health().Shed
+		time.Sleep(10 * time.Millisecond)
+	}
 	h := cl.Health()
 	if h.ReplayBytes > limit {
 		t.Fatalf("journal %d bytes exceeds limit %d", h.ReplayBytes, limit)
@@ -335,6 +348,116 @@ func TestResilientListenerSpeaksV1(t *testing.T) {
 	verifyExactlyOnceInOrder(t, c, n)
 	if ln.AcksSent() != 0 {
 		t.Fatal("listener acked unsequenced v1 traffic")
+	}
+}
+
+// rawV2Frame encodes one v2 frame (header + payload) for tests that
+// speak the wire protocol directly.
+func rawV2Frame(flags uint8, seq uint64, payload []byte) []byte {
+	var hdr [headerV2Size]byte
+	putHeaderV2(hdr[:], 1, payload, flags, seq, 0)
+	return append(hdr[:], payload...)
+}
+
+// dialRaw opens a plain TCP connection to addr and writes frames on it.
+func dialRaw(t *testing.T, addr string, frames ...[]byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	for _, f := range frames {
+		if _, err := conn.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return conn
+}
+
+// TestResilientListenerRejectsRawHello sends a hello whose payload is a
+// raw 8-byte link id instead of an EpochHello control message: the
+// listener must bind no link state to it and deliver nothing.
+func TestResilientListenerRejectsRawHello(t *testing.T) {
+	c := &collect{}
+	ln, err := ListenResilient("127.0.0.1:0", c.handler, ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialRaw(t, ln.Addr(), rawV2Frame(flagHello, 0, binary.LittleEndian.AppendUint64(nil, 42)))
+	deadline := time.Now().Add(5 * time.Second)
+	for ln.ControlIn() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("listener never read the hello frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ln.mu.Lock()
+	links := len(ln.links)
+	ln.mu.Unlock()
+	if links != 0 {
+		t.Fatalf("raw hello bound %d link(s), want none", links)
+	}
+	if got := c.n.Load(); got != 0 {
+		t.Fatalf("raw hello delivered %d frame(s), want none", got)
+	}
+}
+
+// TestResilientListenerReconnectKeepsOrder reconnects a link while the
+// old connection's serve goroutine is still inside the handler with
+// frame 1: frame 2, sent on the new connection, must not reach the
+// handler before frame 1 does.
+func TestResilientListenerReconnectKeepsOrder(t *testing.T) {
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var order []uint32
+	handler := func(f Frame) {
+		seq := binary.LittleEndian.Uint32(f.Payload)
+		if seq == 1 {
+			<-release
+		}
+		mu.Lock()
+		order = append(order, seq)
+		mu.Unlock()
+	}
+	ln, err := ListenResilient("127.0.0.1:0", handler, ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hello, err := control.Encode(control.Message{Kind: control.KindEpochHello, LinkID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialRaw(t, ln.Addr(), rawV2Frame(flagHello|flagControl, 0, hello), rawV2Frame(0, 1, seqPayload(1)))
+	// Wait until the old connection's goroutine is parked on frame 1.
+	deadline := time.Now().Add(5 * time.Second)
+	for ln.ControlIn() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("listener never read the first hello")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	dialRaw(t, ln.Addr(), rawV2Frame(flagHello|flagControl, 0, hello), rawV2Frame(0, 2, seqPayload(2)))
+	time.Sleep(50 * time.Millisecond) // room for frame 2 to overtake
+	close(release)
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		got := append([]uint32(nil), order...)
+		mu.Unlock()
+		if len(got) == 2 {
+			if got[0] != 1 || got[1] != 2 {
+				t.Fatalf("handler saw frames %v, want [1 2]", got)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("handler saw frames %v, want [1 2]", got)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

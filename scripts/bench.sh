@@ -10,13 +10,14 @@
 # execs/s, switches/5s, ...). BENCHTIME overrides the per-benchmark
 # measurement time (default 1s; use e.g. 100x for a smoke run). CPUS, when
 # set, is passed to `go test -cpu` as a GOMAXPROCS sweep list (e.g.
-# CPUS=1,2,4), running every benchmark once per value; the lane-scaling
+# CPUS=1,2,4), running every benchmark once per value; the core-scaling
 # baseline is recorded with
 #
 #   CPUS=1,2,4 scripts/bench.sh multicore
 #
 # which emits BENCH_<date>_multicore.json including the
-# BenchmarkHeadlineMulticore lane sweep. QOS=1 adds the adaptive-QoS
+# BenchmarkHeadlineParallelism sweep of relay/receiver parallelism 1, 2
+# and 4 on the unsharded engine. QOS=1 adds the adaptive-QoS
 # latency-target sweep (BenchmarkLatencyTargetSweep: the untargeted
 # headline vs closed-loop 50 ms and 10 ms targets; each run records
 # p50-lat-µs/p99-lat-µs plus the controller's escalation and chaining
@@ -48,11 +49,12 @@ run_bench() {
 }
 
 # Headline benches: the scheduler contention sweep, the concurrent
-# dispatch path (lane-sharded), the single-node relay headline with its
-# multicore lane sweep, and Table I's context-switch accounting.
+# dispatch path (swept over destination instances), the single-node relay
+# headline with its parallelism sweep, and Table I's context-switch
+# accounting.
 run_bench 'BenchmarkSchedulerContention|BenchmarkSubmitLatency' ./internal/granules
 run_bench 'BenchmarkDispatch' ./internal/core
-run_bench 'BenchmarkHeadlineSingleNode|BenchmarkHeadlineMulticore|BenchmarkTable1ContextSwitches' .
+run_bench 'BenchmarkHeadlineSingleNode|BenchmarkHeadlineParallelism|BenchmarkTable1ContextSwitches' .
 
 # Optional adaptive-QoS latency-target sweep (see header).
 if [ -n "$qos" ]; then

@@ -26,16 +26,34 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== lane smoke (-race -cpu 2) =="
-# The lane-sharded dispatch path and the headline acceptance tests under
-# the race detector at GOMAXPROCS=2: lanes only run truly concurrently
-# with more than one P, so this is where cross-lane races would surface.
-go test -race -cpu 2 -count=1 \
-    -run 'TestLane|TestSharded|TestCrashRecoveryExactlyOnceSharded|TestMembershipPartitionEvictRejoinSharded|TestTwoStageExactlyOnceInOrder|TestThreeStageRelayForwarding' \
-    ./internal/core
-go test -race -cpu 2 -count=1 \
-    -run 'TestGatherMidBatchShortWriteReleasesOnce|TestSendOwnedReleaseAfterDelivery' \
-    ./internal/transport
+echo "== race smoke (-race -cpu 2) =="
+# The keyed parallel relay, crash recovery, membership eviction and the
+# headline acceptance tests under the race detector at GOMAXPROCS=2:
+# the engine's instances only run truly concurrently with more than one
+# P, so this is where data races between them would surface. Every name
+# must match a listed test, so a stale pattern fails instead of passing
+# silently on zero tests.
+# race_smoke <package> <name>...: check each name against `go test
+# -list`, then run the matching tests.
+race_smoke() {
+    pkg=$1
+    shift
+    listed=$(go test -list '.*' "$pkg")
+    pattern=
+    for name in "$@"; do
+        if ! printf '%s\n' "$listed" | grep -q "^$name"; then
+            echo "race smoke: no test in $pkg matches $name" >&2
+            exit 1
+        fi
+        pattern="${pattern:+$pattern|}$name"
+    done
+    go test -race -cpu 2 -count=1 -run "$pattern" "$pkg"
+}
+race_smoke ./internal/core TestKeyedParallel 'TestCrashRecoveryExactlyOnce$' \
+    TestMembershipPartitionEvictRejoinExactlyOnce \
+    TestTwoStageExactlyOnceInOrder TestThreeStageRelayForwarding
+race_smoke ./internal/transport TestGatherMidBatchShortWriteReleasesOnce \
+    TestSendOwnedReleaseAfterDelivery
 
 echo "== fuzz smoke =="
 # Short seeded fuzzing of the wire decoders and the descriptor parser:
