@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Codec errors.
@@ -30,13 +31,19 @@ const (
 	hashPrime  = 0x9E3779B185EBCA87 // Fibonacci hashing constant
 	tailGuard  = 5                  // final bytes always emitted as literals
 	maxLiteral = 15                 // nibble-encoded literal run before extension
+	// maxExpansion bounds how many output bytes one block byte can
+	// legally produce: a match's 255-run length extension adds at most
+	// 255 bytes per input byte, and every other encoding element less.
+	maxExpansion = 255
 )
 
 // Compressor holds the reusable match-finder state for one link. Create
 // one per stream and reuse it; Compress resets the table cheaply via an
-// epoch counter instead of zeroing 16K entries per block.
+// epoch counter instead of zeroing 16K entries per block. The 128 KiB
+// table is allocated on the first Compress, so a codec that only ever
+// decodes never pays for it.
 type Compressor struct {
-	table [1 << hashBits]tableEntry
+	table *[1 << hashBits]tableEntry
 	epoch uint32
 }
 
@@ -56,11 +63,12 @@ func load32(b []byte, i int) uint32 {
 // Compress appends the compressed form of src to dst and returns the
 // result. Compressing an empty src yields an empty block.
 func (c *Compressor) Compress(dst, src []byte) []byte {
+	if c.table == nil {
+		c.table = new([1 << hashBits]tableEntry)
+	}
 	c.epoch++
 	if c.epoch == 0 { // wrapped: table entries from the old epoch 0 are stale
-		for i := range c.table {
-			c.table[i] = tableEntry{}
-		}
+		*c.table = [1 << hashBits]tableEntry{}
 		c.epoch = 1
 	}
 	if len(src) == 0 {
@@ -153,6 +161,9 @@ func appendLenExt(dst []byte, v int) []byte {
 // Decompress appends the decompressed form of block to dst and returns the
 // result. maxSize bounds the decompressed size (guarding against
 // decompression bombs in malformed frames); pass 0 for a default of 64 MiB.
+// Literals and non-overlapping matches are block copies, so a dst
+// pre-sized to the decoded length (see DecodedLen) is filled without
+// growing.
 func Decompress(dst, block []byte, maxSize int) ([]byte, error) {
 	if maxSize <= 0 {
 		maxSize = 64 << 20
@@ -203,10 +214,16 @@ func Decompress(dst, block []byte, maxSize int) ([]byte, error) {
 		if len(dst)-base+matchLen > maxSize {
 			return dst, ErrTooLarge
 		}
-		// Overlapping copy: must proceed byte-wise when offset < matchLen.
-		start := len(dst) - offset
-		for i := 0; i < matchLen; i++ {
-			dst = append(dst, dst[start+i])
+		end := len(dst)
+		dst = slices.Grow(dst, matchLen)[:end+matchLen]
+		if offset >= matchLen {
+			copy(dst[end:], dst[end-offset:end-offset+matchLen])
+			continue
+		}
+		// Overlapping match: the source run repeats with period offset,
+		// so copy it one period at a time.
+		for done := 0; done < matchLen; {
+			done += copy(dst[end+done:end+matchLen], dst[end-offset+done:end+done])
 		}
 	}
 	return dst, nil
@@ -300,38 +317,80 @@ func (s *Selective) Encode(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// Decode parses a frame produced by Encode, appending the payload to dst.
-// maxSize bounds the decoded payload size (0 = 64 MiB default).
-func (s *Selective) Decode(dst, frame []byte, maxSize int) ([]byte, error) {
+// DecodedLen returns the payload size a frame produced by Encode decodes
+// to, as its header states, so a caller can draw an exactly sized buffer
+// before Decode. The stated size is checked against maxSize (0 = 64 MiB
+// default) and against what the compressed block can legally expand to,
+// so a forged header cannot buy a large allocation: a frame claiming
+// more fails with ErrTooLarge or ErrCorrupt.
+func DecodedLen(frame []byte, maxSize int) (int, error) {
+	size, _, err := parseFrame(frame, maxSize)
+	return size, err
+}
+
+// parseFrame validates a frame's header and returns the payload size it
+// states (see DecodedLen) and the body that follows the header.
+func parseFrame(frame []byte, maxSize int) (size int, body []byte, err error) {
+	if maxSize <= 0 {
+		maxSize = 64 << 20
+	}
 	if len(frame) == 0 {
-		return dst, fmt.Errorf("%w: empty frame", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: empty frame", ErrCorrupt)
 	}
 	switch Mode(frame[0]) {
 	case ModeRaw:
-		if maxSize > 0 && len(frame)-1 > maxSize {
-			return dst, ErrTooLarge
+		if len(frame)-1 > maxSize {
+			return 0, nil, ErrTooLarge
 		}
-		return append(dst, frame[1:]...), nil
+		return len(frame) - 1, frame[1:], nil
 	case ModeCompressed:
 		origLen, n := binary.Uvarint(frame[1:])
 		if n <= 0 {
-			return dst, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
+			return 0, nil, fmt.Errorf("%w: bad length prefix", ErrCorrupt)
 		}
-		if maxSize > 0 && origLen > uint64(maxSize) {
-			return dst, ErrTooLarge
+		if origLen > uint64(maxSize) {
+			return 0, nil, ErrTooLarge
 		}
-		before := len(dst)
-		out, err := Decompress(dst, frame[1+n:], int(origLen))
-		if err != nil {
-			return dst, err
+		body = frame[1+n:]
+		if origLen > uint64(len(body))*maxExpansion {
+			return 0, nil, fmt.Errorf("%w: header claims %d bytes from a %d-byte block", ErrCorrupt, origLen, len(body))
 		}
-		if uint64(len(out)-before) != origLen {
-			return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-before, origLen)
-		}
-		return out, nil
+		return int(origLen), body, nil
 	default:
-		return dst, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, frame[0])
+		return 0, nil, fmt.Errorf("%w: unknown mode %d", ErrCorrupt, frame[0])
 	}
+}
+
+// Decode parses a frame produced by Encode, appending the payload to dst.
+// maxSize bounds the decoded payload size (0 = 64 MiB default). dst is
+// grown once to the size DecodedLen reports, so decoding never reallocates
+// part-way through the payload.
+func (s *Selective) Decode(dst, frame []byte, maxSize int) ([]byte, error) {
+	size, body, err := parseFrame(frame, maxSize)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, size)
+	if Mode(frame[0]) == ModeRaw {
+		return append(dst, body...), nil
+	}
+	if size == 0 {
+		// Decompress reads a zero bound as its 64 MiB default: an empty
+		// payload must come with an empty block.
+		if len(body) > 0 {
+			return dst, fmt.Errorf("%w: %d-byte block for an empty payload", ErrCorrupt, len(body))
+		}
+		return dst, nil
+	}
+	before := len(dst)
+	out, err := Decompress(dst, body, size)
+	if err != nil {
+		return dst, err
+	}
+	if len(out)-before != size {
+		return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-before, size)
+	}
+	return out, nil
 }
 
 // Ratio returns compressed/original size for src under this codec's block

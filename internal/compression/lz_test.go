@@ -427,3 +427,67 @@ func BenchmarkEntropy(b *testing.B) {
 		Entropy(src)
 	}
 }
+
+func TestDecodedLenBoundsForgedHeaders(t *testing.T) {
+	s := &Selective{Threshold: 8, MinSize: 1}
+	payload := bytes.Repeat([]byte("abcd"), 100)
+	frame := s.Encode(nil, payload)
+	if n, err := DecodedLen(frame, 0); err != nil || n != len(payload) {
+		t.Fatalf("DecodedLen = %d, %v; want %d", n, err, len(payload))
+	}
+	// A header claiming more than the block can expand to is corrupt even
+	// when it fits under maxSize: it must not size a reservation.
+	forged := withLength(frame, uint64(len(frame))*maxExpansion)
+	if _, err := DecodedLen(forged, 16<<20); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged length: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := s.Decode(nil, forged, 16<<20); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged length decode: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := s.Decode(nil, withLength(frame, 0), 16<<20); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("zero length over a non-empty block: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodedLen(withLength(frame, 1<<30), 16<<20); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("length over maxSize: err = %v, want ErrTooLarge", err)
+	}
+	if n, err := DecodedLen(append([]byte{byte(ModeRaw)}, payload...), 0); err != nil || n != len(payload) {
+		t.Fatalf("raw DecodedLen = %d, %v", n, err)
+	}
+}
+
+func TestSelectiveDecodeFillsPresizedBuffer(t *testing.T) {
+	s := &Selective{Threshold: 8, MinSize: 1}
+	payload := bytes.Repeat([]byte("pressure=1013;temp=21.5;"), 200)
+	frame := s.Encode(nil, payload)
+	n, err := DecodedLen(frame, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, n)
+	allocs := testing.AllocsPerRun(50, func() {
+		out, err := s.Decode(buf, frame, 0)
+		if err != nil || !bytes.Equal(out, payload) || &out[0] != &buf[:1][0] {
+			t.Fatal("decode into a pre-sized buffer must fill it in place")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Decode into a pre-sized buffer allocated %v times", allocs)
+	}
+}
+
+func TestCompressorTableIsLazy(t *testing.T) {
+	var s Selective
+	if s.comp.table != nil {
+		t.Fatal("zero Selective already holds a match table")
+	}
+	if _, err := s.Decode(nil, []byte{byte(ModeRaw), 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.comp.table != nil {
+		t.Fatal("decoding allocated the compressor's match table")
+	}
+	s.comp.Compress(nil, bytes.Repeat([]byte("ab"), 50))
+	if s.comp.table == nil {
+		t.Fatal("Compress ran without a match table")
+	}
+}

@@ -43,6 +43,10 @@ type Engine struct {
 	// a whole frame's packets under one pool lock instead of one lock op
 	// per packet.
 	allocBatch func(dst []*packet.Packet, n int) []*packet.Packet
+	// inBatches recycles inbound batch shells and their packet-pointer
+	// slices (when Config.Pooling is on): every flushed or ingested frame
+	// needs one, and its consumer hands it back once the packets are out.
+	inBatches sync.Pool
 
 	//neptune:lock engine
 	mu        sync.Mutex
@@ -79,6 +83,29 @@ type instKey struct {
 //neptune:putlike
 func (e *Engine) recycleBatch(ps []*packet.Packet) {
 	e.pktPool.PutBatch(ps)
+}
+
+// getInBatch returns an empty inbound batch, reusing a released one's
+// packet slice when pooling is on.
+func (e *Engine) getInBatch() *inBatch {
+	if e.cfg.Pooling {
+		if b, ok := e.inBatches.Get().(*inBatch); ok {
+			return b
+		}
+	}
+	return &inBatch{}
+}
+
+// releaseInBatch takes back a batch whose packets have all been handed
+// on: the packet pointers are cleared, the slice's capacity kept.
+func (e *Engine) releaseInBatch(b *inBatch) {
+	if !e.cfg.Pooling {
+		return
+	}
+	clear(b.packets)
+	b.packets = b.packets[:0]
+	b.bytes = 0
+	e.inBatches.Put(b)
 }
 
 // Engine errors.

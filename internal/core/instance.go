@@ -19,6 +19,8 @@ import (
 
 // inBatch is one unit on an instance's inbound dataset: the packets of one
 // flushed (and, for remote links, one decoded) batch plus their wire size.
+// Batches come from Engine.getInBatch and go back through releaseInBatch
+// once the consuming execution has taken every packet out.
 type inBatch struct {
 	packets []*packet.Packet
 	bytes   int
@@ -71,11 +73,9 @@ type destination struct {
 	// "hop removed" evidence asserted by tests and LatencyHealth.
 	chainDelivered atomic.Uint64
 
-	seq      uint64 // next sequence number (sender executions are serialized)
-	enc      packet.Encoder
-	sel      *compression.Selective
-	scratch  []byte // reused encode buffer
-	frameBuf []byte // reused compression frame buffer
+	seq uint64 // next sequence number (sender executions are serialized)
+	enc packet.Encoder
+	sel *compression.Selective
 }
 
 // setTransport installs (or swaps) the destination's remote transport.
@@ -344,6 +344,7 @@ func (inst *instance) Execute(rc *granules.RunContext) error {
 			inst.processOne(p)
 		}
 		inst.staging = false
+		inst.engine.releaseInBatch(b)
 		inst.flushStage()
 		if inst.dataset.Len() > 0 {
 			_ = rc.Resource().NotifyData(inst.taskID()) //neptune:discarderr self re-notify; fails only after Stop, when delivery no longer matters
@@ -366,8 +367,9 @@ func (inst *instance) Execute(rc *granules.RunContext) error {
 	p := cur.packets[inst.curPos]
 	inst.curPos++
 	if inst.curPos >= len(cur.packets) {
-		cur = nil
 		inst.cur.Store(nil)
+		inst.engine.releaseInBatch(cur)
+		cur = nil
 	}
 	inst.processOne(p)
 	if cur != nil || inst.dataset.Len() > 0 {
@@ -530,57 +532,29 @@ func (inst *instance) flushStage() {
 
 // flush delivers one flushed batch for a destination: zero-copy handoff to
 // a co-located instance, or encode (+ optional entropy-gated compression)
-// and transport send for a remote one. Transports implementing
-// transport.OwnedSender get the encoded frame without a copy (the
-// gather-write path); others get the legacy copying Send.
+// and transport send for a remote one. There is one egress path: the batch
+// is encoded into a buffer drawn from the engine's pool, and a transport
+// implementing transport.OwnedSender takes that buffer itself — not a
+// copy — and returns it to the pool through the release callback once it
+// is done (TCP after the gather-write, Resilient on ack). SendOwned
+// assumes ownership whether or not it errors, so nothing here may touch
+// the frame after the annotated handoff — the retainedbuf analyzer
+// enforces exactly that. Any other transport copies in Send, and the
+// buffer goes straight back to the pool.
 func (d *destination) flush(batch []*packet.Packet, bytes int, _ buffer.FlushReason) {
 	e := d.sender.engine
 	if d.local != nil {
-		pkts := make([]*packet.Packet, len(batch))
-		copy(pkts, batch)
-		if err := d.local.dataset.Put(&inBatch{packets: pkts, bytes: bytes}, int64(bytes)); err != nil {
+		b := e.getInBatch()
+		b.packets = append(b.packets, batch...)
+		b.bytes = bytes
+		if err := d.local.dataset.Put(b, int64(bytes)); err != nil {
 			// Receiver shut down: recycle and drop (job is ending).
-			e.recycleBatch(pkts)
-			e.dropsOnShutdown.Add(uint64(len(pkts)))
+			e.recycleBatch(b.packets)
+			e.dropsOnShutdown.Add(uint64(len(b.packets)))
+			e.releaseInBatch(b)
 		}
 		return
 	}
-	tr := d.transport()
-	if owned, ok := tr.(transport.OwnedSender); ok {
-		d.flushOwned(owned, batch, bytes)
-		e.recycleBatch(batch)
-		return
-	}
-	d.scratch = d.enc.EncodeBatch(d.scratch[:0], batch)
-	frame := d.scratch
-	if d.sel != nil {
-		d.frameBuf = d.sel.Encode(d.frameBuf[:0], d.scratch)
-		frame = d.frameBuf
-	}
-	// Retain the frame for crash replay before attempting delivery: a Send
-	// that fails because the receiving engine just died is exactly the
-	// frame recovery must re-send.
-	if rl := d.replay.Load(); rl != nil {
-		rl.append(frame, len(batch))
-	}
-	if err := tr.Send(d.channel, frame); err != nil {
-		e.sendErrs.Inc()
-	} else {
-		e.bytesOut.Add(uint64(len(frame)))
-		e.batchesOut.Inc()
-	}
-	e.recycleBatch(batch)
-}
-
-// flushOwned is the zero-copy egress path: the batch is encoded into a
-// buffer drawn from the engine's pool and that buffer itself — not a copy —
-// is handed to the transport's gather-writer, which returns it to the
-// pool once the vectored write has reached the kernel (the release
-// closure). SendOwned assumes ownership whether or not it errors, so
-// nothing here may touch the frame after the annotated handoff — the
-// retainedbuf analyzer enforces exactly that.
-func (d *destination) flushOwned(owned transport.OwnedSender, batch []*packet.Packet, bytes int) {
-	e := d.sender.engine
 	// Headroom above the buffer's byte accounting: per-packet wire framing
 	// can exceed the accounted payload size for tiny packets.
 	frame := d.enc.EncodeBatch(e.bufPool.Get(bytes+bytes/2+64), batch)
@@ -589,14 +563,22 @@ func (d *destination) flushOwned(owned transport.OwnedSender, batch []*packet.Pa
 		e.bufPool.Put(frame)
 		frame = comp
 	}
-	// Retain the frame for crash replay (append copies) before the
-	// handoff: a send that fails because the receiving engine just died
-	// is exactly the frame recovery must re-send.
+	// Retain the frame for crash replay (append copies) before the send:
+	// a send that fails because the receiving engine just died is exactly
+	// the frame recovery must re-send.
 	if rl := d.replay.Load(); rl != nil {
 		rl.append(frame, len(batch))
 	}
+	e.recycleBatch(batch)
 	size := len(frame)
-	err := owned.SendOwned(d.channel, frame, func() { e.bufPool.Put(frame) }) //neptune:handoff
+	var err error
+	tr := d.transport()
+	if owned, ok := tr.(transport.OwnedSender); ok {
+		err = owned.SendOwned(d.channel, frame, func() { e.bufPool.Put(frame) }) //neptune:handoff
+	} else {
+		err = tr.Send(d.channel, frame)
+		e.bufPool.Put(frame)
+	}
 	if err != nil {
 		e.sendErrs.Inc()
 		return
@@ -613,31 +595,43 @@ func (inst *instance) ingestFrame(frame []byte) error {
 	data := frame
 	var decBuf []byte
 	if inst.sel != nil {
-		decBuf = e.bufPool.Get(len(frame) * 2)
-		var err error
-		decBuf, err = inst.sel.Decode(decBuf, frame, transport.MaxFrameSize)
+		// Draw exactly the size class the frame's header states (bounded
+		// by MaxFrameSize and by what the block can expand to), so the
+		// decode never outgrows the buffer and the buffer returns to its
+		// class on Put.
+		size, err := compression.DecodedLen(frame, transport.MaxFrameSize)
+		if err != nil {
+			return err
+		}
+		decBuf, err = inst.sel.Decode(e.bufPool.Get(size), frame, transport.MaxFrameSize)
 		if err != nil {
 			e.bufPool.Put(decBuf)
 			return err
 		}
 		data = decBuf
 	}
-	pkts, _, err := inst.dec.DecodeBatchAppend(data, e.allocBatch, nil)
+	b := e.getInBatch()
+	var err error
+	b.packets, _, err = inst.dec.DecodeBatchAppend(data, e.allocBatch, b.packets)
 	if decBuf != nil {
 		e.bufPool.Put(decBuf)
 	}
 	if err != nil {
-		e.recycleBatch(pkts)
+		e.recycleBatch(b.packets)
+		e.releaseInBatch(b)
 		return err
 	}
 	if inst.dedupNext != nil {
-		pkts = inst.dedupPackets(pkts)
-		if len(pkts) == 0 {
+		b.packets = inst.dedupPackets(b.packets)
+		if len(b.packets) == 0 {
+			e.releaseInBatch(b)
 			return nil // whole frame was a duplicate redelivery
 		}
 	}
-	if err := inst.dataset.Put(&inBatch{packets: pkts, bytes: len(data)}, int64(len(data))); err != nil {
-		e.recycleBatch(pkts)
+	b.bytes = len(data)
+	if err := inst.dataset.Put(b, int64(b.bytes)); err != nil {
+		e.recycleBatch(b.packets)
+		e.releaseInBatch(b)
 		return err
 	}
 	return nil

@@ -60,11 +60,30 @@ func (e *Encoder) Encode(dst []byte, p *Packet) []byte {
 // EncodeBatch appends a length-prefixed batch of packets to dst: a uvarint
 // count followed by each packet prefixed with its uvarint byte length, so a
 // decoder can skip packets without parsing fields.
+//
+// The length prefix is written after the packet body, into a gap reserved
+// at the previous packet's prefix width: a batch of similar packets never
+// moves a byte, and none pays for a second WireSize pass. Only when the
+// width changes is the body shifted to fit.
 func (e *Encoder) EncodeBatch(dst []byte, ps []*Packet) []byte {
 	dst = e.appendUvarint(dst, uint64(len(ps)))
+	width := 1
 	for _, p := range ps {
-		dst = e.appendUvarint(dst, uint64(p.WireSize()))
+		mark := len(dst)
+		dst = append(dst, e.scratch[:width]...)
 		dst = e.Encode(dst, p)
+		end := len(dst)
+		size := end - mark - width
+		if w := uvarintLen(uint64(size)); w > width {
+			dst = append(dst, e.scratch[:w-width]...)
+			copy(dst[mark+w:], dst[mark+width:end])
+			width = w
+		} else if w < width {
+			copy(dst[mark+w:], dst[mark+width:end])
+			dst = dst[:end-(width-w)]
+			width = w
+		}
+		binary.PutUvarint(dst[mark:], uint64(size))
 	}
 	return dst
 }
@@ -77,11 +96,16 @@ func (e *Encoder) appendUvarint(dst []byte, v uint64) []byte {
 // Decoder deserializes packets from a byte slice. Like Encoder it is
 // created once per link and reused; Decode fills a caller-supplied packet
 // (typically from a pool) so steady-state decoding allocates only when a
-// string field forces a copy.
+// string field forces a copy. Decoder holds no state, so one value may be
+// shared by any number of goroutines.
 type Decoder struct{}
 
 // Decode parses one packet from buf into p (Reset first) and returns the
-// number of bytes consumed.
+// number of bytes consumed. Field names are reused rather than allocated:
+// a pooled packet keeps each slot's name across Reset, and a stream's
+// packets repeat their schema, so the name bytes at field i almost always
+// equal the string the slot already holds (comparing them allocates
+// nothing). Only a name that differs is copied into a new string.
 //
 //neptune:hotpath
 func (d *Decoder) Decode(buf []byte, p *Packet) (int, error) {
@@ -126,40 +150,34 @@ func (d *Decoder) Decode(buf []byte, p *Packet) (int, error) {
 		if uint64(len(buf)-pos) < nameLen+1 {
 			return 0, ErrTruncated
 		}
-		name := string(buf[pos : pos+int(nameLen)])
+		f := p.next()
+		if name := buf[pos : pos+int(nameLen)]; f.Name != string(name) {
+			f.Name = string(name)
+		}
 		pos += int(nameLen)
 		ft := FieldType(buf[pos])
 		pos++
+		f.Type, f.num, f.str, f.bytes = ft, 0, "", f.bytes[:0]
 		switch ft {
 		case TypeBool:
 			if pos >= len(buf) {
 				return 0, ErrTruncated
 			}
-			p.AddBool(name, buf[pos] != 0)
+			if buf[pos] != 0 {
+				f.num = 1
+			}
 			pos++
-		case TypeInt32:
+		case TypeInt32, TypeFloat32:
 			if len(buf)-pos < 4 {
 				return 0, ErrTruncated
 			}
-			p.AddInt32(name, int32(binary.LittleEndian.Uint32(buf[pos:])))
+			f.num = uint64(binary.LittleEndian.Uint32(buf[pos:]))
 			pos += 4
-		case TypeFloat32:
-			if len(buf)-pos < 4 {
-				return 0, ErrTruncated
-			}
-			p.AddFloat32(name, math.Float32frombits(binary.LittleEndian.Uint32(buf[pos:])))
-			pos += 4
-		case TypeInt64:
+		case TypeInt64, TypeFloat64:
 			if len(buf)-pos < 8 {
 				return 0, ErrTruncated
 			}
-			p.AddInt64(name, int64(binary.LittleEndian.Uint64(buf[pos:])))
-			pos += 8
-		case TypeFloat64:
-			if len(buf)-pos < 8 {
-				return 0, ErrTruncated
-			}
-			p.AddFloat64(name, math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:])))
+			f.num = binary.LittleEndian.Uint64(buf[pos:])
 			pos += 8
 		case TypeString:
 			sl, n, err := readUvarint(buf[pos:])
@@ -170,7 +188,7 @@ func (d *Decoder) Decode(buf []byte, p *Packet) (int, error) {
 			if uint64(len(buf)-pos) < sl {
 				return 0, ErrTruncated
 			}
-			p.AddString(name, string(buf[pos:pos+int(sl)]))
+			f.str = string(buf[pos : pos+int(sl)])
 			pos += int(sl)
 		case TypeBytes:
 			bl, n, err := readUvarint(buf[pos:])
@@ -181,7 +199,7 @@ func (d *Decoder) Decode(buf []byte, p *Packet) (int, error) {
 			if uint64(len(buf)-pos) < bl {
 				return 0, ErrTruncated
 			}
-			p.AddBytes(name, buf[pos:pos+int(bl)])
+			f.setBytes(buf[pos : pos+int(bl)])
 			pos += int(bl)
 		default:
 			return 0, fmt.Errorf("%w: %d", ErrBadFieldType, ft)

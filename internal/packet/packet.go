@@ -109,13 +109,14 @@ var (
 
 // Reset clears the packet for reuse, retaining field-slice capacity (and
 // the byte-slice capacity inside each field) so a refill does not allocate.
+// Each slot keeps its field name, invisible past the new length, so that
+// Decoder.Decode can reuse it when the next packet repeats the schema.
 func (p *Packet) Reset() {
 	p.StreamID = 0
 	p.Seq = 0
 	p.EmitNanos = 0
 	for i := range p.fields {
 		f := &p.fields[i]
-		f.Name = ""
 		f.Type = TypeInvalid
 		f.num = 0
 		f.str = ""
@@ -214,9 +215,13 @@ func (p *Packet) AddBytes(name string, v []byte) *Packet {
 	f := p.next()
 	f.Name, f.Type = name, TypeBytes
 	f.num, f.str = 0, ""
-	f.bytes = append(f.bytes[:0], v...)
+	f.setBytes(v)
 	return p
 }
+
+// setBytes copies v into the field's own byte storage, reusing its
+// capacity.
+func (f *Field) setBytes(v []byte) { f.bytes = append(f.bytes[:0], v...) }
 
 // Bool returns the named boolean field's value.
 func (p *Packet) Bool(name string) (bool, error) {

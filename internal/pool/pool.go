@@ -221,6 +221,9 @@ type BufferPool struct {
 	Enabled bool
 
 	classes []sync.Pool // class i holds slices with cap == minSize<<i
+	// headers recycles the *[]byte boxes the classes store: Get parks the
+	// box it unwrapped here and Put reuses it, so neither allocates one.
+	headers sync.Pool
 	minSize int
 	maxSize int
 	stats   statCounters
@@ -291,6 +294,8 @@ func (bp *BufferPool) Get(size int) []byte {
 	// sync.Pool's New counts as a miss; a recycled buffer arrives with
 	// len 0 already but we normalize defensively.
 	b := (*bufp)[:0]
+	*bufp = nil
+	bp.headers.Put(bufp)
 	bp.stats.hits.Add(1)
 	return b
 }
@@ -313,8 +318,12 @@ func (bp *BufferPool) Put(buf []byte) {
 		bp.stats.discards.Add(1)
 		return
 	}
-	b := buf[:0]
-	bp.classes[c].Put(&b)
+	bufp, ok := bp.headers.Get().(*[]byte)
+	if !ok {
+		bufp = new([]byte)
+	}
+	*bufp = buf[:0]
+	bp.classes[c].Put(bufp)
 }
 
 // Stats returns a snapshot of the pool's counters.

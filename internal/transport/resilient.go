@@ -23,9 +23,11 @@ import (
 // effectively-once delivery per link across transient faults:
 //
 //   - Every data frame carries a link sequence number (wire format v2).
-//   - The sender journals sent-but-unacked frames in a bounded replay
-//     buffer; the receiver acks cumulatively (piggybacked on the v2
-//     header), letting the sender trim the journal.
+//   - The sender journals every admitted, unacked frame in a bounded
+//     replay buffer; the receiver acks cumulatively (piggybacked on the v2
+//     header), letting the sender trim the journal. The journal holds the
+//     caller's buffer itself (Resilient is an OwnedSender) and hands it
+//     back through its release callback when the frame leaves.
 //   - On any IO error the sender redials with exponential backoff and
 //     jitter, replays the journal, and resumes — Send callers never see
 //     the outage (they at most block on backpressure).
@@ -37,7 +39,9 @@ import (
 // When an outage outlives the replay buffer, DegradePolicy chooses
 // between blocking senders (default: preserves the no-loss guarantee)
 // and shedding the oldest journaled frames (bounds memory and latency,
-// admits loss, counts every shed frame).
+// admits loss, counts every shed frame). Either way the policy acts at
+// admission, on the sending goroutine: the writer never waits for journal
+// space, so it stays free to reconnect and replay.
 
 // LinkState describes a resilient link's connectivity.
 type LinkState int32
@@ -126,9 +130,9 @@ type ResilientOptions struct {
 	// observes every admitted frame and every cumulative-ack trim. This
 	// is the persistence hook for write-ahead durability — an
 	// implementation can append frames to stable storage and truncate on
-	// trim. Callbacks run on transport goroutines outside internal locks;
-	// the payload slice is owned by the journal and must be copied if
-	// retained.
+	// trim. Callbacks run on transport goroutines outside the journal
+	// lock; the payload slice is valid only for the duration of the call
+	// (it is the sender's pooled buffer) and must be copied if retained.
 	Journal JournalObserver
 	// ControlHandler, when non-nil, receives the payload of every
 	// inbound control frame (flagControl) on this endpoint. The slice
@@ -191,10 +195,13 @@ func (o *ResilientOptions) defaults() {
 }
 
 // JournalObserver mirrors a resilient link's replay journal to external
-// storage. JournalAppend is invoked after a frame is admitted to the
-// in-memory journal; JournalTrim after a cumulative ack releases every
-// frame with seq <= ackedThrough. Implementations must not block for
-// long: both run on the transport's writer/reader goroutines.
+// storage. JournalAppend is invoked as a frame is admitted to the
+// in-memory journal, on the sending goroutine, in sequence order; its
+// payload is valid only for the duration of the call, because the frame's
+// buffer returns to its owner once acked. JournalTrim runs after a
+// cumulative ack releases every frame with seq <= ackedThrough.
+// Implementations must not block for long: both run on the paths that
+// admit frames and read acks.
 type JournalObserver interface {
 	JournalAppend(seq uint64, channel uint32, payload []byte)
 	JournalTrim(ackedThrough uint64)
@@ -217,17 +224,22 @@ type LinkHealth struct {
 	Err            error // terminal error, if the link is down
 }
 
-// jframe is one journaled (sent-but-unacked) frame.
+// jframe is one journaled (admitted but unacked) frame. release, when
+// non-nil, hands payload back to its owner; it runs exactly once, when
+// the frame leaves the journal (ack, shed, close or give-up) — or, if the
+// writer is writing the frame at that moment, once the writer is done.
 type jframe struct {
 	seq     uint64
 	channel uint32
 	payload []byte
+	release func()
 }
 
 // Resilient is the reconnecting, redelivering sender side of a link. It
-// implements Transport; Send has the same blocking/backpressure
-// semantics as TCP.Send, but IO errors trigger transparent reconnect
-// and journal replay instead of tearing the transport down.
+// implements Transport and OwnedSender; Send and SendOwned have the same
+// blocking/backpressure semantics as TCP's, but IO errors trigger
+// transparent reconnect and journal replay instead of tearing the
+// transport down.
 type Resilient struct {
 	addr    string
 	opts    ResilientOptions
@@ -240,11 +252,19 @@ type Resilient struct {
 	// read by other goroutines under mu / brokenFlag).
 	bw *bufio.Writer
 
-	// Declared order: the journal wait loop checks link state (isClosed)
-	// while parked under jmu; nothing acquires jmu under mu — connFailed
-	// releases mu before waking the journal.
+	// Declared order: admission holds admitMu while it waits for journal
+	// space and pushes to the queue; nothing acquires admitMu under jmu or
+	// mu. connFailed releases mu before waking the journal.
 	//
+	//neptune:lockorder rlink-admit < rlink-journal
 	//neptune:lockorder rlink-journal < rlink-state
+
+	// admitMu serializes SendOwned callers from sequence assignment to
+	// queue push, so the queue holds frames in sequence order.
+	//
+	//neptune:lock rlink-admit
+	admitMu sync.Mutex
+	nextSeq uint64 // last assigned sequence; guarded by admitMu
 
 	//neptune:lock rlink-state
 	mu      sync.Mutex
@@ -254,7 +274,7 @@ type Resilient struct {
 	termErr error
 	state   LinkState
 
-	brokenFlag atomic.Bool // lock-free mirror of broken (journal wait path)
+	brokenFlag atomic.Bool // lock-free mirror of broken (writer's nudge path)
 	closedCh   chan struct{}
 	closeOnce  sync.Once // guards close(closedCh): Close and terminate race
 
@@ -266,8 +286,22 @@ type Resilient struct {
 	jbytes  int64
 	acked   uint64
 	jclosed bool
+	// pinLo..pinHi is the sequence range the writer is copying into the
+	// connection's write buffer (zero when idle). A frame leaving the
+	// journal inside that range parks its release in deferred; the
+	// writer runs it when it unpins.
+	pinLo, pinHi uint64
+	deferred     []func()
 
-	nextSeq uint64        // writer-goroutine-owned
+	// wrote is the highest sequence the writer has put on a connection
+	// (frames at or below it are either acked or covered by the next
+	// reconnect's replay). Only the writer stores it; journalAck reads it
+	// to ignore acks for frames never written — a peer holding a stale
+	// dedup cursor acks past them, and trimming would drop them unsent.
+	wrote atomic.Uint64
+	snap  []jframe           // replay snapshot; writer-goroutine-owned
+	hdr   [headerV2Size]byte // frame header scratch; writer-goroutine-owned
+
 	recvSeq atomic.Uint64 // last inbound data seq delivered (piggyback ack)
 
 	// Outage-scoped reconnect state, owned by the writer goroutine
@@ -408,9 +442,9 @@ func (r *Resilient) writeHello() error {
 	if err != nil {
 		return err
 	}
-	var hdr [headerV2Size]byte
-	putHeaderV2(hdr[:], 0, payload, flagHello|flagControl, 0, r.recvSeq.Load())
-	if _, err := r.bw.Write(hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	putHeaderV2(hdr, 0, payload, flagHello|flagControl, 0, r.recvSeq.Load())
+	if _, err := r.bw.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := r.bw.Write(payload); err != nil {
@@ -419,30 +453,46 @@ func (r *Resilient) writeHello() error {
 	return r.bw.Flush()
 }
 
-// Send copies payload and enqueues it for the writer goroutine. It
-// blocks while the outbound queue is gated (backpressure) and never
-// fails on link outages — only when the transport is closed or has
-// permanently given up.
+// Send copies payload and admits the copy like SendOwned. It blocks while
+// the journal is full under DegradeBlock or the outbound queue is gated
+// (backpressure), and never fails on link outages — only when the
+// transport is closed or has permanently given up.
 func (r *Resilient) Send(channel uint32, payload []byte) error {
-	r.mu.Lock()
-	if r.closed {
-		err := r.termErr
-		r.mu.Unlock()
-		if err != nil && !errors.Is(err, ErrClosed) {
-			return err
-		}
-		return ErrClosed
-	}
-	r.mu.Unlock()
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooBig
 	}
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
+	return r.SendOwned(channel, cp, nil)
+}
+
+// SendOwned admits payload to the replay journal without copying it and
+// enqueues it for the writer (see OwnedSender). The journal owns payload
+// from this call on: release fires exactly once — when a cumulative ack
+// covers the frame, when DegradeShedOldest sheds it, or when the link
+// closes or gives up, but never while the writer is still copying the
+// frame into the connection — or before an error return for a frame that
+// was never admitted. Admission applies the degrade policy on the calling
+// goroutine: under DegradeBlock the caller waits for acks to free space.
+func (r *Resilient) SendOwned(channel uint32, payload []byte, release func()) error {
+	if err := r.sendErr(); err != nil {
+		return releaseWith(release, err)
+	}
+	if len(payload) > MaxFrameSize {
+		return releaseWith(release, ErrFrameTooBig)
+	}
+	r.admitMu.Lock()
+	defer r.admitMu.Unlock()
+	seq, err := r.admit(channel, payload, release)
+	if err != nil {
+		return releaseWith(release, err)
+	}
 	if r.queue.Gated() {
 		r.stats.sendBlocked.Add(1)
 	}
-	if err := r.queue.Push(Frame{Channel: channel, Payload: cp}, int64(len(cp))+headerV2Size); err != nil {
+	// From here the journal owns payload: a queue closed under us leaves
+	// the frame for Close's (or terminate's) journal sweep to release.
+	if err := r.queue.Push(Frame{Channel: channel, Payload: payload, seq: seq}, int64(len(payload))+headerV2Size); err != nil {
 		if errors.Is(err, backpressure.ErrClosed) {
 			return ErrClosed
 		}
@@ -451,6 +501,29 @@ func (r *Resilient) Send(channel uint32, payload []byte) error {
 	r.stats.framesSent.Add(1)
 	r.stats.bytesSent.Add(uint64(len(payload)))
 	return nil
+}
+
+// sendErr reports why the transport no longer accepts frames, if it
+// does not.
+func (r *Resilient) sendErr() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed {
+		return nil
+	}
+	if r.termErr != nil && !errors.Is(r.termErr, ErrClosed) {
+		return r.termErr
+	}
+	return ErrClosed
+}
+
+// releaseWith runs release (if any) and returns err: the rejection path
+// of an ownership-taking send.
+func releaseWith(release func(), err error) error {
+	if release != nil {
+		release()
+	}
+	return err
 }
 
 // SendControl enqueues an encoded control-plane message for the peer.
@@ -494,9 +567,9 @@ func (r *Resilient) writeControl(f Frame) {
 	if !live || r.bw == nil {
 		return
 	}
-	var hdr [headerV2Size]byte
-	putHeaderV2(hdr[:], f.Channel, f.Payload, flagControl, 0, r.recvSeq.Load())
-	if _, err := r.bw.Write(hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	putHeaderV2(hdr, f.Channel, f.Payload, flagControl, 0, r.recvSeq.Load())
+	if _, err := r.bw.Write(hdr); err != nil {
 		r.connFailed(conn, err)
 		return
 	}
@@ -516,8 +589,10 @@ func (r *Resilient) writeControl(f Frame) {
 	}
 }
 
-// writeLoop is the single IO writer: it drains the outbound queue,
-// journals every frame, and owns dialing/replacement of the connection.
+// writeLoop is the single IO writer: it drains the outbound queue onto
+// the connection and owns dialing/replacement of the connection. Data
+// frames arrive already journaled, so the writer never waits for
+// journal space.
 func (r *Resilient) writeLoop() {
 	defer r.writerWG.Done()
 	for {
@@ -546,36 +621,21 @@ func (r *Resilient) writeLoop() {
 			r.writeClosing(f)
 			continue
 		}
-		r.nextSeq++
-		seq := r.nextSeq
-		if !r.journalAppend(jframe{seq: seq, channel: f.Channel, payload: f.Payload}) {
-			// Transport closed while waiting for replay space.
-			r.writeClosing(f)
-			continue
-		}
-		r.writeData(f.Channel, f.Payload, seq)
+		r.writeData(f)
 	}
 }
 
-// writeData writes one journaled frame, reconnecting as needed. The
-// frame is already journaled, so a reconnect's journal replay covers
-// it; a rare double-write after replay is discarded by receiver dedup.
-// Under DegradeShedOldest a down link makes this a no-op — the frame
-// stays journaled and the scheduled reconnect replays it later.
+// writeData writes one journaled frame, reconnecting as needed. Under
+// DegradeShedOldest a down link makes this a no-op — the frame stays
+// journaled and the scheduled reconnect replays it later.
 //
 //neptune:hotpath
-func (r *Resilient) writeData(channel uint32, payload []byte, seq uint64) {
-	var hdr [headerV2Size]byte
+func (r *Resilient) writeData(f Frame) {
 	for {
 		if !r.ready() {
 			return
 		}
-		putHeaderV2(hdr[:], channel, payload, 0, seq, r.recvSeq.Load())
-		if _, err := r.bw.Write(hdr[:]); err != nil {
-			r.connFailed(r.conn, err)
-			continue
-		}
-		if _, err := r.bw.Write(payload); err != nil {
+		if err := r.writeOne(f); err != nil {
 			r.connFailed(r.conn, err)
 			continue
 		}
@@ -592,7 +652,7 @@ func (r *Resilient) writeData(channel uint32, payload []byte, seq uint64) {
 }
 
 // writeClosing is the best-effort path for frames popped after Close:
-// write on the live conn if any, never journal, never reconnect.
+// write on the live conn if any, never reconnect.
 func (r *Resilient) writeClosing(f Frame) {
 	r.mu.Lock()
 	conn := r.conn
@@ -601,14 +661,7 @@ func (r *Resilient) writeClosing(f Frame) {
 	if dead {
 		return
 	}
-	r.nextSeq++
-	var hdr [headerV2Size]byte
-	putHeaderV2(hdr[:], f.Channel, f.Payload, 0, r.nextSeq, r.recvSeq.Load())
-	if _, err := r.bw.Write(hdr[:]); err != nil {
-		r.connFailed(conn, err)
-		return
-	}
-	if _, err := r.bw.Write(f.Payload); err != nil {
+	if err := r.writeOne(f); err != nil {
 		r.connFailed(conn, err)
 		return
 	}
@@ -617,6 +670,27 @@ func (r *Resilient) writeClosing(f Frame) {
 			r.connFailed(conn, err)
 		}
 	}
+}
+
+// writeOne copies one journaled frame into the write buffer. It skips a
+// frame the reconnect's journal replay already wrote, and one that left
+// the journal (acked or shed) before the writer reached it: that buffer
+// may already be back with its owner. Writer goroutine only.
+func (r *Resilient) writeOne(f Frame) error {
+	if f.seq <= r.wrote.Load() || !r.pin(f.seq, f.seq) {
+		return nil
+	}
+	// Advance wrote before the bytes can reach the peer, so its ack is
+	// never ignored; a failed write leaves the frame to the replay.
+	r.wrote.Store(f.seq)
+	hdr := r.hdr[:]
+	putHeaderV2(hdr, f.Channel, f.Payload, 0, f.seq, r.recvSeq.Load())
+	_, err := r.bw.Write(hdr)
+	if err == nil {
+		_, err = r.bw.Write(f.Payload)
+	}
+	r.unpin()
+	return err
 }
 
 // flushBest flushes the write buffer if the connection is still live.
@@ -763,34 +837,49 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	return j
 }
 
-// resendJournal replays every unacked frame on the fresh connection.
+// resendJournal replays every journaled frame on the fresh connection:
+// those written before the outage and not yet acked, and those admitted
+// but not yet reached by the writer. The replayed range stays pinned
+// while it is copied into the write buffer, so an ack arriving meanwhile
+// defers its buffers' release until the copy is done.
 func (r *Resilient) resendJournal() bool {
 	r.jmu.Lock()
-	snap := make([]jframe, len(r.jfr)-r.jhead)
-	copy(snap, r.jfr[r.jhead:])
+	r.snap = append(r.snap[:0], r.jfr[r.jhead:]...)
+	if len(r.snap) > 0 {
+		r.pinLo, r.pinHi = r.snap[0].seq, r.snap[len(r.snap)-1].seq
+	}
 	r.jmu.Unlock()
-	if len(snap) == 0 {
+	if len(r.snap) == 0 {
 		return true
 	}
-	var hdr [headerV2Size]byte
-	for _, jf := range snap {
-		putHeaderV2(hdr[:], jf.channel, jf.payload, 0, jf.seq, r.recvSeq.Load())
-		if _, err := r.bw.Write(hdr[:]); err != nil {
-			r.connFailed(r.conn, err)
-			return false
+	// Advance the written mark before any byte of the replay can reach
+	// the peer, or journalAck would ignore its acks.
+	r.wrote.Store(max(r.wrote.Load(), r.snap[len(r.snap)-1].seq))
+	redelivered := uint64(len(r.snap))
+	hdr := r.hdr[:]
+	var err error
+	for _, jf := range r.snap {
+		putHeaderV2(hdr, jf.channel, jf.payload, 0, jf.seq, r.recvSeq.Load())
+		if _, err = r.bw.Write(hdr); err != nil {
+			break
 		}
-		if _, err := r.bw.Write(jf.payload); err != nil {
-			r.connFailed(r.conn, err)
-			return false
+		if _, err = r.bw.Write(jf.payload); err != nil {
+			break
 		}
 	}
-	if err := r.bw.Flush(); err != nil {
+	clear(r.snap)
+	r.snap = r.snap[:0]
+	r.unpin()
+	if err == nil {
+		err = r.bw.Flush()
+	}
+	if err != nil {
 		r.connFailed(r.conn, err)
 		return false
 	}
-	r.redelivered.Add(uint64(len(snap)))
+	r.redelivered.Add(redelivered)
 	if m := r.opts.Metrics; m != nil {
-		m.Counter("transport.redelivered_frames").Add(uint64(len(snap)))
+		m.Counter("transport.redelivered_frames").Add(redelivered)
 	}
 	return true
 }
@@ -802,18 +891,20 @@ func (r *Resilient) journalLen() int {
 	return len(r.jfr) - r.jhead
 }
 
-// journalAppend admits a frame into the replay buffer, applying the
-// degradation policy when it is full. Writer goroutine only. Returns
-// false when the transport closed while waiting for space.
-func (r *Resilient) journalAppend(jf jframe) bool {
-	need := int64(len(jf.payload)) + headerV2Size
+// admit assigns the next sequence number and journals the frame,
+// applying the degrade policy when the journal is full: DegradeBlock
+// waits for acks to free space, DegradeShedOldest drops the oldest
+// frames. It runs on the sending goroutine under admitMu. An error means
+// the frame was not admitted and its release is still the caller's.
+func (r *Resilient) admit(channel uint32, payload []byte, release func()) (uint64, error) {
+	need := int64(len(payload)) + headerV2Size
+	var shedBuf [8]func()
+	shed := shedBuf[:0]
 	r.jmu.Lock()
 	for !r.jclosed && r.jbytes+need > r.opts.ReplayLimit && len(r.jfr)-r.jhead > 0 {
 		if r.opts.Policy == DegradeShedOldest {
-			old := r.jfr[r.jhead]
-			r.jfr[r.jhead] = jframe{}
-			r.jhead++
-			r.jbytes -= int64(len(old.payload)) + headerV2Size
+			old := r.popOldest()
+			shed = r.parkRelease(shed, old)
 			r.shed.Inc()
 			if m := r.opts.Metrics; m != nil {
 				m.Gauge("transport.replay_bytes").Add(-(int64(len(old.payload)) + headerV2Size))
@@ -821,43 +912,136 @@ func (r *Resilient) journalAppend(jf jframe) bool {
 			}
 			continue
 		}
-		// Blocking policy: space frees on acks. If the connection broke
-		// while we wait, acks cannot arrive — reconnect and replay so
-		// they can.
-		if r.brokenFlag.Load() && !r.isClosed() {
-			r.jmu.Unlock()
-			ok := r.ready()
-			r.jmu.Lock()
-			if !ok {
-				break
-			}
-			continue
-		}
+		// Blocking policy: space frees on acks. The writer is free to
+		// reconnect and replay meanwhile, so acks keep coming; Close and
+		// give-up wake this wait through jclosed.
 		r.jcond.Wait()
 	}
+	closed := r.jclosed
+	r.jmu.Unlock()
+	runReleases(shed)
+	if closed {
+		return 0, ErrClosed
+	}
+	seq := r.nextSeq + 1
+	// The observer sees the frame while the caller still owns it: once
+	// journaled, an ack may release the buffer at any moment.
+	if o := r.opts.Journal; o != nil {
+		o.JournalAppend(seq, channel, payload)
+	}
+	r.jmu.Lock()
 	if r.jclosed {
 		r.jmu.Unlock()
-		return false
+		return 0, ErrClosed
 	}
-	if r.jhead > 0 && r.jhead == len(r.jfr) {
-		r.jfr = r.jfr[:0]
+	r.nextSeq = seq
+	if r.jhead > 0 && len(r.jfr) == cap(r.jfr) {
+		// Compact instead of growing: the dead head slots are reusable.
+		n := copy(r.jfr, r.jfr[r.jhead:])
+		clear(r.jfr[n:])
+		r.jfr = r.jfr[:n]
 		r.jhead = 0
 	}
-	r.jfr = append(r.jfr, jf)
+	r.jfr = append(r.jfr, jframe{seq: seq, channel: channel, payload: payload, release: release})
 	r.jbytes += need
 	if m := r.opts.Metrics; m != nil {
 		m.Gauge("transport.replay_bytes").Add(need)
 		m.Gauge("transport.replay_frames").Add(1)
 	}
 	r.jmu.Unlock()
-	if o := r.opts.Journal; o != nil {
-		o.JournalAppend(jf.seq, jf.channel, jf.payload)
+	return seq, nil
+}
+
+// popOldest removes the journal's head frame. Caller holds jmu and has
+// checked the journal is non-empty.
+func (r *Resilient) popOldest() jframe {
+	old := r.jfr[r.jhead]
+	r.jfr[r.jhead] = jframe{}
+	r.jhead++
+	r.jbytes -= int64(len(old.payload)) + headerV2Size
+	if r.jhead == len(r.jfr) {
+		r.jfr = r.jfr[:0]
+		r.jhead = 0
 	}
+	return old
+}
+
+// parkRelease routes the release of a frame leaving the journal: into
+// deferred while the writer has it pinned, otherwise onto out for the
+// caller to run once it drops jmu. Caller holds jmu.
+func (r *Resilient) parkRelease(out []func(), jf jframe) []func() {
+	if jf.release == nil {
+		return out
+	}
+	if r.pinHi != 0 && jf.seq >= r.pinLo && jf.seq <= r.pinHi {
+		r.deferred = append(r.deferred, jf.release)
+		return out
+	}
+	return append(out, jf.release)
+}
+
+// runReleases hands each buffer back to its owner. Called without locks.
+func runReleases(fns []func()) {
+	for _, fn := range fns {
+		fn()
+	}
+}
+
+// pin marks seq range lo..hi as being written, if the journal still holds
+// lo; it reports false when lo already left the journal (acked or shed),
+// and the frame's buffer must not be touched. Writer goroutine only.
+func (r *Resilient) pin(lo, hi uint64) bool {
+	r.jmu.Lock()
+	defer r.jmu.Unlock()
+	if r.jhead == len(r.jfr) || lo < r.jfr[r.jhead].seq {
+		return false
+	}
+	r.pinLo, r.pinHi = lo, hi
 	return true
 }
 
-// journalAck trims every journaled frame covered by the cumulative ack.
+// unpin ends the writer's pin and runs the releases deferred during it.
+// Writer goroutine only.
+func (r *Resilient) unpin() {
+	var relBuf [8]func()
+	r.jmu.Lock()
+	r.pinLo, r.pinHi = 0, 0
+	rel := append(relBuf[:0], r.deferred...)
+	clear(r.deferred)
+	r.deferred = r.deferred[:0]
+	r.jmu.Unlock()
+	runReleases(rel)
+}
+
+// sweepJournal empties the journal for good (Close or give-up),
+// releasing every frame still in it. The writer must not be mid-pin.
+func (r *Resilient) sweepJournal() {
+	r.jmu.Lock()
+	r.jclosed = true
+	r.jcond.Broadcast()
+	var rel []func()
+	freed := int64(len(r.jfr) - r.jhead)
+	freedBytes := r.jbytes
+	for r.jhead < len(r.jfr) {
+		rel = r.parkRelease(rel, r.popOldest())
+	}
+	rel = append(rel, r.deferred...)
+	clear(r.deferred)
+	r.deferred = r.deferred[:0]
+	r.jmu.Unlock()
+	if m := r.opts.Metrics; m != nil && freed > 0 {
+		m.Gauge("transport.replay_bytes").Add(-freedBytes)
+		m.Gauge("transport.replay_frames").Add(-freed)
+	}
+	runReleases(rel)
+}
+
+// journalAck trims every journaled frame covered by the cumulative ack
+// and hands their buffers back (deferred for any the writer has pinned).
 func (r *Resilient) journalAck(ack uint64) {
+	var relBuf [8]func()
+	rel := relBuf[:0]
+	ack = min(ack, r.wrote.Load())
 	r.jmu.Lock()
 	if ack <= r.acked {
 		r.jmu.Unlock()
@@ -867,20 +1051,16 @@ func (r *Resilient) journalAck(ack uint64) {
 	var freedBytes int64
 	var freedFrames int64
 	for r.jhead < len(r.jfr) && r.jfr[r.jhead].seq <= ack {
-		freedBytes += int64(len(r.jfr[r.jhead].payload)) + headerV2Size
+		old := r.popOldest()
+		freedBytes += int64(len(old.payload)) + headerV2Size
 		freedFrames++
-		r.jfr[r.jhead] = jframe{}
-		r.jhead++
-	}
-	if r.jhead == len(r.jfr) {
-		r.jfr = r.jfr[:0]
-		r.jhead = 0
+		rel = r.parkRelease(rel, old)
 	}
 	if freedFrames > 0 {
-		r.jbytes -= freedBytes
 		r.jcond.Broadcast()
 	}
 	r.jmu.Unlock()
+	runReleases(rel)
 	if freedFrames > 0 {
 		if m := r.opts.Metrics; m != nil {
 			m.Gauge("transport.replay_bytes").Add(-freedBytes)
@@ -956,10 +1136,6 @@ func (r *Resilient) connFailed(conn net.Conn, err error) {
 	r.mu.Unlock()
 	r.brokenFlag.Store(true)
 	conn.Close()
-	// Wake a writer parked in journalAppend's space wait.
-	r.jmu.Lock()
-	r.jcond.Broadcast()
-	r.jmu.Unlock()
 	if closed {
 		return
 	}
@@ -983,10 +1159,9 @@ func (r *Resilient) terminate(err error) {
 	r.mu.Unlock()
 	r.closeOnce.Do(func() { close(r.closedCh) })
 	r.queue.Close()
-	r.jmu.Lock()
-	r.jclosed = true
-	r.jcond.Broadcast()
-	r.jmu.Unlock()
+	// terminate runs on the writer outside any pin, and no frame will be
+	// written again: every journaled buffer goes back now.
+	r.sweepJournal()
 	if cbState != nil {
 		cbState(LinkDown)
 	}
@@ -1047,19 +1222,17 @@ func (r *Resilient) Health() LinkHealth {
 }
 
 // InFlight reports how many frames have not been confirmed delivered:
-// frames queued for the writer goroutine plus journaled frames awaiting
-// the receiver's cumulative ack. The listener acks a data frame only
-// after dispatching it to its handler, so a zero InFlight means every
-// sent frame was actually delivered — duplicated or out-of-job traffic
-// arriving at the receiver cannot fake it. Drain barriers rely on that:
+// every admitted data frame is journaled until the receiver's cumulative
+// ack covers it, whether or not the writer has reached it yet. The
+// listener acks a data frame only after dispatching it to its handler,
+// so a zero InFlight means every sent frame was actually delivered —
+// duplicated or out-of-job traffic arriving at the receiver cannot fake
+// it. Drain barriers rely on that:
 // without this count a checkpoint could commit (and reset its replay
 // logs) while frames sit unacked in the journal of a flapping link,
 // losing them for any later recovery.
 func (r *Resilient) InFlight() int {
-	r.jmu.Lock()
-	pending := len(r.jfr) - r.jhead
-	r.jmu.Unlock()
-	return r.queue.Len() + pending
+	return r.journalLen()
 }
 
 // LinkID returns the link identifier carried in the hello handshake. A
@@ -1104,6 +1277,9 @@ func (r *Resilient) Close() error {
 	r.jcond.Broadcast()
 	r.jmu.Unlock()
 	r.writerWG.Wait()
+	// The writer is gone, so nothing is pinned: release what the journal
+	// still holds (frames never acked before close).
+	r.sweepJournal()
 	r.mu.Lock()
 	conn := r.conn
 	r.conn = nil
@@ -1116,4 +1292,7 @@ func (r *Resilient) Close() error {
 	return nil
 }
 
-var _ Transport = (*Resilient)(nil)
+var (
+	_ Transport   = (*Resilient)(nil)
+	_ OwnedSender = (*Resilient)(nil)
+)

@@ -61,6 +61,9 @@ type Frame struct {
 	// ctrl marks an internal control-plane frame: written with
 	// flagControl, unsequenced, and never journaled (set by SendControl).
 	ctrl bool
+	// seq is the link sequence a resilient sender assigned at admission
+	// (zero elsewhere); the frame's journal entry holds the same payload.
+	seq uint64
 	// release, when non-nil, returns the payload's backing buffer to its
 	// owner (set by SendOwned). The transport calls it exactly once: after
 	// the payload bytes reached the kernel, or when the frame is dropped

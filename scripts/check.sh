@@ -53,7 +53,8 @@ race_smoke ./internal/core TestKeyedParallel 'TestCrashRecoveryExactlyOnce$' \
     TestMembershipPartitionEvictRejoinExactlyOnce \
     TestTwoStageExactlyOnceInOrder TestThreeStageRelayForwarding
 race_smoke ./internal/transport TestGatherMidBatchShortWriteReleasesOnce \
-    TestSendOwnedReleaseAfterDelivery
+    TestSendOwnedReleaseAfterDelivery TestResilientBlockPolicyBlocksAtLimit \
+    TestResilientAckDuringReplayDefersRelease
 
 echo "== fuzz smoke =="
 # Short seeded fuzzing of the wire decoders and the descriptor parser:
@@ -61,6 +62,7 @@ echo "== fuzz smoke =="
 # enough for every run.
 go test -run '^$' -fuzz 'FuzzDecodeFrame' -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz 'FuzzPacketCodecRoundTrip' -fuzztime 10s ./internal/packet
+go test -run '^$' -fuzz 'FuzzSelectiveDecode' -fuzztime 10s ./internal/compression
 go test -run '^$' -fuzz 'FuzzDescriptorLoad' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzDecodeControl' -fuzztime 10s ./internal/control
 
